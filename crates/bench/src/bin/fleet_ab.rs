@@ -16,15 +16,17 @@
 //! the plain baseline at any size — chaos must degrade the fleet, not
 //! collapse it.
 //!
-//! Part 2 (thread scaling, `BENCH_fleet_mt.json`): the same tenant set,
-//! now attached to one [`SharedImage`], is driven by the work-stealing
-//! scheduler at 1/2/4/8 worker threads. Reports aggregate steps/sec per
-//! thread count plus the p50/p99 latency of TxChecks sampled by a probe
-//! shard attached to the same image while the fleet storms around it.
-//! On hosts with ≥ 4 available cores, exits non-zero if the 4-thread
-//! aggregate throughput is below 2× the single-thread run; on smaller
-//! hosts the ratio is reported but the gate cannot physically hold and
-//! is recorded as unenforced.
+//! Part 2 (thread sweep, `BENCH_fleet_mt.json`): the same tenant set,
+//! now attached to one [`SharedImage`], is driven by the fleet's worker
+//! pool at 1/2/4/8 threads. Reports aggregate steps/sec per thread count
+//! beside the requests served and shed and the restarts, plus the
+//! p50/p99 latency of TxChecks sampled by a probe shard attached to the
+//! same image while the fleet storms around it. The rows do not serve
+//! equal work (see EXPERIMENTS.md), so steps/sec across them is not a
+//! scaling figure. On hosts with ≥ 4 available cores, exits non-zero if
+//! the 4-thread aggregate throughput is below 2× the single-thread run;
+//! on smaller hosts the ratio is reported but the gate cannot physically
+//! hold and is recorded as unenforced.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
@@ -354,13 +356,16 @@ fn main() {
     for threads in THREAD_COUNTS {
         let row = mt_drive(threads, &pre);
         println!(
-            "{threads} thread(s): {:>12.0} steps/s | TxCheck p50 {:>6} ns p99 {:>7} ns \
-             ({} checks sampled, {} steals)",
+            "{threads} thread(s): {:>12.0} steps/s | served {:>3}/{} shed {:>3} \
+             restarts {:>2} | TxCheck p50 {:>6} ns p99 {:>7} ns ({} checks sampled)",
             row.steps_per_sec,
+            row.served,
+            row.requests,
+            row.shed,
+            row.restarts,
             row.p50_check_ns,
             row.p99_check_ns,
             row.checks_sampled,
-            row.workers.iter().map(|w| w.steals).sum::<u64>(),
         );
         mt_rows.push(row);
     }

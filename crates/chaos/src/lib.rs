@@ -82,18 +82,13 @@ pub enum FaultPoint {
     /// meaningful (and identical, seed for seed) on interpreter-tier
     /// runs; arm it explicitly with [`FaultPlan::with`].
     TransInvalidate,
-    /// A fleet scheduler worker stalls (spin-yields `param` times)
-    /// before draining its next task slice, simulating a descheduled or
-    /// page-faulting worker thread. Only reached by the multithreaded
-    /// fleet scheduler, so it sits past [`RUNTIME_POINTS`]; arm it
-    /// explicitly with [`FaultPlan::with`] or a fleet storm.
+    /// A fleet pool worker stalls (spin-yields `param` times) right
+    /// after it claims a tenant and before it serves that tenant's
+    /// budget, simulating a descheduled or page-faulting worker thread.
+    /// Reached once per claim, so only by the multithreaded fleet pool;
+    /// it sits past [`RUNTIME_POINTS`]. Arm it explicitly with
+    /// [`FaultPlan::with`].
     WorkerStall,
-    /// A fleet scheduler worker's deque discipline is inverted for one
-    /// round: the tenant slice it just served is re-queued onto a
-    /// *victim* worker's deque (`param` picks the victim) instead of
-    /// its own, forcing the cross-worker migration path. Only reached
-    /// by the multithreaded fleet scheduler (past [`RUNTIME_POINTS`]).
-    StealBias,
     /// A network segment is dropped in flight: the server never sees
     /// the delivery attempt and the client waits out its deadline, then
     /// retries with backoff (param unused). Only reached by the
@@ -125,7 +120,7 @@ pub enum FaultPoint {
 }
 
 /// Every fault point, in wire-format order.
-pub const ALL_POINTS: [FaultPoint; 18] = [
+pub const ALL_POINTS: [FaultPoint; 17] = [
     FaultPoint::UpdaterCrash,
     FaultPoint::UpdaterStall,
     FaultPoint::TornTary,
@@ -138,7 +133,6 @@ pub const ALL_POINTS: [FaultPoint; 18] = [
     FaultPoint::SchedPoint,
     FaultPoint::TransInvalidate,
     FaultPoint::WorkerStall,
-    FaultPoint::StealBias,
     FaultPoint::NetDrop,
     FaultPoint::NetCorrupt,
     FaultPoint::NetReorder,
@@ -163,8 +157,8 @@ pub const NET_POINTS: [FaultPoint; 5] = [
 /// draws from: the sites reachable on *any* wall-clock run. The trailing
 /// points are excluded — `sched-point` only fires under the model
 /// checker's deterministic scheduler, `trans-invalidate` only on
-/// translated-tier runs, `worker-stall` / `steal-bias` only inside
-/// the multithreaded fleet scheduler, and the [`NET_POINTS`] only on the
+/// translated-tier runs, `worker-stall` only when a multithreaded fleet
+/// worker claims a tenant, and the [`NET_POINTS`] only on the
 /// `mcfi-netsim` delivery path (a random plan must fire identically,
 /// seed for seed, whichever execution tier, thread count, or traffic
 /// harness replays it). Arm those explicitly with [`FaultPlan::with`],
@@ -191,7 +185,6 @@ impl FaultPoint {
             FaultPoint::SchedPoint => "sched-point",
             FaultPoint::TransInvalidate => "trans-invalidate",
             FaultPoint::WorkerStall => "worker-stall",
-            FaultPoint::StealBias => "steal-bias",
             FaultPoint::NetDrop => "net-drop",
             FaultPoint::NetCorrupt => "net-corrupt",
             FaultPoint::NetReorder => "net-reorder",
@@ -647,6 +640,32 @@ mod tests {
                 .all(|f| !NET_POINTS.contains(&f.point)));
         }
         assert_ne!(FaultPlan::random_net(1, 6), FaultPlan::random_net(2, 6));
+    }
+
+    #[test]
+    fn seeded_plans_replay_their_historical_wires() {
+        // Adding or removing a point past RUNTIME_POINTS must not shift
+        // the seeded streams: recorded CI seeds replay these exact plans.
+        let random = [
+            "seed=1;checkpoint-corrupt@3(0);checkpoint-corrupt@3(0);cfg-regen-fail@2(0);\
+             updater-crash@1(0);version-warp@3(5);verifier-reject@3(0)",
+            "seed=2;updater-crash@1(0);checkpoint-corrupt@2(0);torn-tary@3(6);\
+             version-warp@1(4);updater-stall@3(318);torn-tary@3(6)",
+            "seed=3;updater-crash@1(0);checkpoint-corrupt@2(0);torn-tary@3(6);\
+             version-warp@1(4);updater-stall@3(318);torn-tary@3(6)",
+        ];
+        let net = [
+            "seed=1;net-drop@3(0);net-corrupt@4(124);peer-abort@2(63);\
+             slowloris-stall@4(12);net-drop@4(0);net-reorder@4(0)",
+            "seed=2;slowloris-stall@2(12);slowloris-stall@5(2);slowloris-stall@4(6);\
+             net-reorder@3(0);peer-abort@4(58);net-corrupt@1(211)",
+            "seed=3;slowloris-stall@2(12);slowloris-stall@5(2);slowloris-stall@4(6);\
+             net-reorder@3(0);peer-abort@4(58);net-corrupt@1(211)",
+        ];
+        for (s, (random, net)) in (1u64..=3).zip(random.into_iter().zip(net)) {
+            assert_eq!(FaultPlan::random(s, 6).wire(), random, "random seed {s}");
+            assert_eq!(FaultPlan::random_net(s, 6).wire(), net, "random_net seed {s}");
+        }
     }
 
     #[test]

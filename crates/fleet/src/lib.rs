@@ -32,16 +32,17 @@
 //! same configuration replays to bit-identical [`FleetStats`].
 //!
 //! At [`FleetOptions::threads`] > 1 the same request budget is driven
-//! by a pool of real OS threads with per-worker deques and work
-//! stealing: each tenant's requests stay ordered (a tenant is one fault
-//! domain and one lock), but tenants migrate between workers as the
-//! pool balances itself. Wall-clock interleaving is no longer
-//! deterministic — what survives, and what `tests/fleet_concurrent.rs`
-//! asserts, are the conservation laws (every scheduled request is
-//! served or shed exactly once, restarts are neither lost nor double
-//! counted) plus each tenant's *local* trajectory, which depends only
-//! on its own tick sequence. `threads = 1` keeps the original
-//! deterministic tick loop byte-for-byte.
+//! by a pool of real OS threads. The pick sequence is drained into
+//! per-tenant budgets first; then each worker claims the next unserved
+//! tenant and serves its whole budget, so a tenant's requests stay
+//! ordered and only the worker that claimed it ever touches it.
+//! Wall-clock interleaving across tenants is no longer deterministic —
+//! what survives, and what `tests/fleet_concurrent.rs` asserts, are the
+//! conservation laws (every scheduled request is served or shed exactly
+//! once, restarts are neither lost nor double counted) plus each
+//! tenant's *local* trajectory, which depends only on its own tick
+//! sequence. `threads = 1` keeps the original deterministic tick loop
+//! byte-for-byte.
 //!
 //! Isolation falls out of construction: tenants share no tables, no
 //! sandbox, and no clocks, and every cross-tenant decision (scheduling,
@@ -55,7 +56,7 @@
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
 
 use mcfi_chaos::{Backoff, ChaosInjector, FaultPlan, FaultPoint, ALL_POINTS, RUNTIME_POINTS};
@@ -160,10 +161,10 @@ pub struct FleetOptions {
     /// costs memory on long drives).
     pub record_results: bool,
     /// Worker threads driving requests. `0` or `1` keeps the original
-    /// deterministic single-threaded tick loop; above that, a
-    /// work-stealing pool of real OS threads serves the same per-tenant
-    /// request budget concurrently (see the crate docs for what stays
-    /// deterministic).
+    /// deterministic single-threaded tick loop; above that, a pool of
+    /// real OS threads serves the same per-tenant request budget
+    /// concurrently, each worker claiming whole tenants (see the crate
+    /// docs for what stays deterministic).
     pub threads: usize,
 }
 
@@ -354,13 +355,10 @@ pub struct FleetStats {
 pub struct WorkerStats {
     /// Worker index.
     pub worker: u64,
-    /// Task slices executed (a slice = one scheduling quantum of one
-    /// tenant's queued requests).
-    pub slices: u64,
+    /// Tenants this worker claimed (each with its whole budget).
+    pub tenants: u64,
     /// Requests this worker drove.
     pub requests: u64,
-    /// Slices obtained by stealing from another worker's deque.
-    pub steals: u64,
     /// Chaos-injected worker stalls served
     /// ([`FaultPoint::WorkerStall`]).
     pub stalls: u64,
@@ -420,15 +418,6 @@ impl Tenant {
     }
 }
 
-/// One tenant slot: the tenant behind its serving lock (a tenant is one
-/// fault domain *and* one unit of mutual exclusion — its requests never
-/// run concurrently), plus a lock-free health mirror so overload
-/// decisions never take tenant locks.
-struct Slot {
-    tenant: Mutex<Tenant>,
-    health: AtomicU8,
-}
-
 fn health_code(h: TenantHealth) -> u8 {
     match h {
         TenantHealth::Healthy => 0,
@@ -439,16 +428,19 @@ fn health_code(h: TenantHealth) -> u8 {
 }
 
 /// Whether more than the threshold fraction of tenants is unhealthy,
-/// judged from the lock-free health mirrors.
-fn overloaded_mirror(slots: &[Slot], shed_threshold_pct: u32) -> bool {
-    let unhealthy = slots.iter().filter(|s| s.health.load(Ordering::Relaxed) != 0).count();
-    unhealthy * 100 > shed_threshold_pct as usize * slots.len()
+/// judged from the lock-free health mirror.
+fn overloaded_mirror(health: &[AtomicU8], shed_threshold_pct: u32) -> bool {
+    let unhealthy = health.iter().filter(|h| h.load(Ordering::Relaxed) != 0).count();
+    unhealthy * 100 > shed_threshold_pct as usize * health.len()
 }
 
 /// The supervision tree: N tenants, each an independent fault domain,
 /// plus the deterministic request driver (see the crate docs).
 pub struct Fleet {
-    tenants: Vec<Slot>,
+    tenants: Vec<Tenant>,
+    /// `health_code` of each tenant, readable while pool workers hold
+    /// other tenants, so overload decisions never wait on a tenant.
+    health: Vec<AtomicU8>,
     opts: FleetOptions,
     global_tick: u64,
     sched_state: u64,
@@ -487,26 +479,25 @@ impl Fleet {
                 digest: 0,
                 supervisor: SupervisorStats::default(),
             };
-            tenants.push(Slot {
-                tenant: Mutex::new(Tenant {
-                    spec,
-                    sup,
-                    health: TenantHealth::Healthy,
-                    local_tick: 0,
-                    retry_at: 0,
-                    failures_streak: 0,
-                    restart_ticks: VecDeque::new(),
-                    plan: None,
-                    injector: None,
-                    faults_fired_past: 0,
-                    sup_past: SupervisorStats::default(),
-                    stats,
-                    results: Vec::new(),
-                }),
-                health: AtomicU8::new(health_code(TenantHealth::Healthy)),
+            tenants.push(Tenant {
+                spec,
+                sup,
+                health: TenantHealth::Healthy,
+                local_tick: 0,
+                retry_at: 0,
+                failures_streak: 0,
+                restart_ticks: VecDeque::new(),
+                plan: None,
+                injector: None,
+                faults_fired_past: 0,
+                sup_past: SupervisorStats::default(),
+                stats,
+                results: Vec::new(),
             });
         }
-        Ok(Fleet { tenants, opts, global_tick: 0, sched_state, workers: Vec::new() })
+        let health =
+            tenants.iter().map(|_| AtomicU8::new(health_code(TenantHealth::Healthy))).collect();
+        Ok(Fleet { tenants, health, opts, global_tick: 0, sched_state, workers: Vec::new() })
     }
 
     /// Number of tenants.
@@ -527,7 +518,7 @@ impl Fleet {
     ///
     /// If `index` is out of range.
     pub fn arm_tenant_plan(&mut self, index: usize, plan: FaultPlan) {
-        let t = &mut *self.tenants[index].tenant.lock().expect("tenant lock");
+        let t = &mut self.tenants[index];
         let injector = t.sup.process_mut().arm_chaos(plan.clone());
         t.plan = Some(plan);
         t.injector = Some(injector);
@@ -543,24 +534,18 @@ impl Fleet {
 
     /// The health of tenant `index`.
     pub fn health(&self, index: usize) -> TenantHealth {
-        self.tenants[index].tenant.lock().expect("tenant lock").health
+        self.tenants[index].health
     }
 
-    /// The served [`RunResult`]s of tenant `index`, cloned out of its
-    /// slot (empty unless [`FleetOptions::record_results`] is set).
-    pub fn results(&self, index: usize) -> Vec<RunResult> {
-        self.tenants[index].tenant.lock().expect("tenant lock").results.clone()
-    }
-
-    /// Per-worker counters from the most recent multithreaded drive
-    /// (empty for single-threaded fleets).
-    pub fn worker_stats(&self) -> &[WorkerStats] {
-        &self.workers
+    /// The served [`RunResult`]s of tenant `index` (empty unless
+    /// [`FleetOptions::record_results`] is set).
+    pub fn results(&self, index: usize) -> &[RunResult] {
+        &self.tenants[index].results
     }
 
     /// Drives `total` requests through the schedule — the deterministic
-    /// tick loop at [`FleetOptions::threads`] ≤ 1, the work-stealing
-    /// pool above that.
+    /// tick loop at [`FleetOptions::threads`] ≤ 1, the claiming pool
+    /// above that.
     pub fn run_requests(&mut self, total: u64) {
         if self.opts.threads > 1 {
             self.run_requests_mt(total);
@@ -569,32 +554,20 @@ impl Fleet {
         for _ in 0..total {
             let i = self.pick();
             self.global_tick += 1;
-            let overloaded = self.overloaded();
-            let slot = &self.tenants[i];
-            let mut t = slot.tenant.lock().expect("tenant lock");
-            tick_tenant(&self.opts, &mut t, overloaded);
-            slot.health.store(health_code(t.health), Ordering::Relaxed);
+            let overloaded = overloaded_mirror(&self.health, self.opts.shed_threshold_pct);
+            let t = &mut self.tenants[i];
+            tick_tenant(&self.opts, t, overloaded);
+            self.health[i].store(health_code(t.health), Ordering::Relaxed);
         }
     }
 
-    /// The work-stealing drive: the *same* pick sequence as the
-    /// deterministic driver is drained up front into per-tenant request
-    /// budgets (so every tenant sees the identical local-tick
-    /// trajectory), then a scoped pool of real OS threads serves those
-    /// budgets from per-worker deques, stealing from a victim's deque
-    /// when its own runs dry. A tenant is served in `SLICE`-request
-    /// quanta and re-queued, so uneven tenants migrate between workers
-    /// instead of pinning one.
+    /// The pool drive: the *same* pick sequence as the deterministic
+    /// driver is drained up front into per-tenant request budgets (so
+    /// every tenant sees the identical local-tick trajectory), then a
+    /// scoped pool of real OS threads takes tenants from one shared
+    /// claim queue, each worker serving a claimed tenant's whole budget
+    /// before it claims the next.
     fn run_requests_mt(&mut self, total: u64) {
-        /// Requests a worker serves from one tenant before re-queueing
-        /// it: small enough that stealing balances uneven tenants,
-        /// large enough to amortize deque traffic.
-        const SLICE: u64 = 8;
-        struct Task {
-            tenant: usize,
-            remaining: u64,
-        }
-
         let mut budget = vec![0u64; self.tenants.len()];
         for _ in 0..total {
             let i = self.pick();
@@ -602,106 +575,44 @@ impl Fleet {
             budget[i] += 1;
         }
 
-        let threads = self.opts.threads;
-        let deques: Vec<Mutex<VecDeque<Task>>> =
-            (0..threads).map(|_| Mutex::new(VecDeque::new())).collect();
-        let mut open_tasks = 0usize;
-        for (tenant, &remaining) in budget.iter().enumerate() {
-            if remaining > 0 {
-                deques[tenant % threads]
-                    .lock()
-                    .expect("deque lock")
-                    .push_back(Task { tenant, remaining });
-                open_tasks += 1;
-            }
-        }
-        // Tasks still queued or in a worker's hands; workers exit only
-        // when every task has fully drained, so a stolen tenant's tail
-        // can never be dropped.
-        let open = AtomicUsize::new(open_tasks);
-
         let opts = &self.opts;
-        let slots = &self.tenants;
-        let deques = &deques;
-        let open = &open;
+        let health = &self.health;
+        let claims = Mutex::new(
+            self.tenants.iter_mut().zip(health).zip(budget).filter(|&(_, n)| n > 0),
+        );
+        let claims = &claims;
         self.workers = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
+            let handles: Vec<_> = (0..opts.threads)
                 .map(|w| {
                     scope.spawn(move || {
                         let mut ws =
                             WorkerStats { worker: w as u64, ..WorkerStats::default() };
                         loop {
-                            let mut stolen = false;
-                            let mut task =
-                                deques[w].lock().expect("deque lock").pop_back();
-                            if task.is_none() {
-                                for k in 1..threads {
-                                    let victim = (w + k) % threads;
-                                    task = deques[victim]
-                                        .lock()
-                                        .expect("deque lock")
-                                        .pop_front();
-                                    if task.is_some() {
-                                        stolen = true;
-                                        break;
-                                    }
-                                }
-                            }
-                            let Some(task) = task else {
-                                if open.load(Ordering::Acquire) == 0 {
-                                    break;
-                                }
-                                std::thread::yield_now();
-                                continue;
-                            };
-                            if stolen {
-                                ws.steals += 1;
-                            }
-                            ws.slices += 1;
-                            let slot = &slots[task.tenant];
-                            let mut t = slot.tenant.lock().expect("tenant lock");
+                            // Its own statement, so the guard drops before
+                            // the budget runs.
+                            let claim = claims.lock().expect("claim lock").next();
+                            let Some(((t, mirror), n)) = claim else { break };
+                            ws.tenants += 1;
                             if let Some(stall) = t
                                 .injector
                                 .as_ref()
                                 .and_then(|i| i.fire(FaultPoint::WorkerStall))
                             {
                                 // A descheduled worker: burn the planned
-                                // quantum while holding the tenant, so
-                                // peers see a genuinely stuck worker.
+                                // quantum while holding the tenant.
                                 ws.stalls += 1;
                                 for _ in 0..stall.min(10_000) {
                                     std::hint::spin_loop();
                                 }
                                 std::thread::yield_now();
                             }
-                            let n = task.remaining.min(SLICE);
                             for _ in 0..n {
                                 let overloaded =
-                                    overloaded_mirror(slots, opts.shed_threshold_pct);
-                                tick_tenant(opts, &mut t, overloaded);
-                                slot.health
-                                    .store(health_code(t.health), Ordering::Relaxed);
+                                    overloaded_mirror(health, opts.shed_threshold_pct);
+                                tick_tenant(opts, t, overloaded);
+                                mirror.store(health_code(t.health), Ordering::Relaxed);
                             }
                             ws.requests += n;
-                            // StealBias hands the continuation to a
-                            // victim's deque instead of our own, forcing
-                            // the cross-worker migration path.
-                            let handoff = t
-                                .injector
-                                .as_ref()
-                                .and_then(|i| i.fire(FaultPoint::StealBias))
-                                .filter(|_| threads > 1)
-                                .map(|p| (w + 1 + p as usize % (threads - 1)) % threads);
-                            drop(t);
-                            let remaining = task.remaining - n;
-                            if remaining > 0 {
-                                deques[handoff.unwrap_or(w)]
-                                    .lock()
-                                    .expect("deque lock")
-                                    .push_back(Task { tenant: task.tenant, remaining });
-                            } else {
-                                open.fetch_sub(1, Ordering::AcqRel);
-                            }
                         }
                         ws
                     })
@@ -730,18 +641,12 @@ impl Fleet {
         }
     }
 
-    /// Whether more than the threshold fraction of tenants is unhealthy.
-    fn overloaded(&self) -> bool {
-        overloaded_mirror(&self.tenants, self.opts.shed_threshold_pct)
-    }
-
     /// Snapshot of every counter, per tenant and rolled up.
     pub fn stats(&self) -> FleetStats {
         let per_tenant: Vec<TenantStats> = self
             .tenants
             .iter()
-            .map(|slot| {
-                let t = slot.tenant.lock().expect("tenant lock");
+            .map(|t| {
                 let mut s = t.stats.clone();
                 s.health = t.health;
                 s.faults_fired = t.faults_fired();
@@ -789,7 +694,7 @@ impl Fleet {
 }
 
 /// One scheduled request against one tenant. Shared verbatim by the
-/// deterministic tick loop and the work-stealing workers: a request is
+/// deterministic tick loop and the pool workers: a request is
 /// shed or served based only on the tenant's own state plus the
 /// `overloaded` snapshot the caller took.
 fn tick_tenant(opts: &FleetOptions, t: &mut Tenant, overloaded: bool) {

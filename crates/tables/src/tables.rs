@@ -1436,7 +1436,20 @@ impl<S: SyncFacade> TaryView<'_, S> {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU32;
-    use std::sync::Arc;
+    use std::sync::{Arc, Barrier};
+
+    /// Raises `stop` only once every checker has run a whole loop
+    /// iteration that began after this call, so a checker's progress
+    /// never depends on how the OS scheduled it before then.
+    fn stop_after_one_more_iteration(progress: &[AtomicU64], stop: &AtomicU32) {
+        let seen: Vec<u64> = progress.iter().map(|p| p.load(Ordering::Relaxed)).collect();
+        for (p, seen) in progress.iter().zip(seen) {
+            while p.load(Ordering::Relaxed) < seen + 2 {
+                std::thread::yield_now();
+            }
+        }
+        stop.store(1, Ordering::Relaxed);
+    }
 
     fn demo_tables() -> IdTables {
         let t = IdTables::new(TablesConfig { code_size: 64, bary_slots: 2 });
@@ -1550,22 +1563,30 @@ mod tests {
             },
             |_| Some(1),
         );
+        const CHECKERS: usize = 3;
         let stop = Arc::new(AtomicU32::new(0));
+        let start = Arc::new(Barrier::new(CHECKERS + 1));
+        let progress: Arc<[AtomicU64]> = (0..CHECKERS).map(|_| AtomicU64::new(0)).collect();
         let mut handles = Vec::new();
-        for _ in 0..3 {
+        for c in 0..CHECKERS {
             let t = Arc::clone(&t);
             let stop = Arc::clone(&stop);
+            let start = Arc::clone(&start);
+            let progress = Arc::clone(&progress);
             handles.push(std::thread::spawn(move || {
                 let mut ok = 0u64;
+                start.wait();
                 while stop.load(Ordering::Relaxed) == 0 {
                     // 8 must always be legal, 16 must never be.
                     t.check(0, 8).expect("8 is always in the branch's class");
                     assert!(t.check(0, 16).is_err(), "16 must never match slot 0");
                     ok += 1;
+                    progress[c].fetch_add(1, Ordering::Relaxed);
                 }
                 ok
             }));
         }
+        start.wait();
         let updater = {
             let t = Arc::clone(&t);
             std::thread::spawn(move || {
@@ -1583,7 +1604,7 @@ mod tests {
             })
         };
         updater.join().unwrap();
-        stop.store(1, Ordering::Relaxed);
+        stop_after_one_more_iteration(&progress, &stop);
         for h in handles {
             assert!(h.join().unwrap() > 0);
         }
@@ -1750,14 +1771,20 @@ mod tests {
         t.arm_chaos(ChaosInjector::arm(
             mcfi_chaos::FaultPlan::new().with(FaultPoint::UpdaterCrash, 2, 0),
         ));
+        const CHECKERS: usize = 3;
         let stop = Arc::new(AtomicU32::new(0));
+        let start = Arc::new(Barrier::new(CHECKERS + 1));
+        let progress: Arc<[AtomicU64]> = (0..CHECKERS).map(|_| AtomicU64::new(0)).collect();
         let cfg = RetryConfig { escalate_after: 8, max_retries: 1 << 20 };
         let mut handles = Vec::new();
-        for _ in 0..3 {
+        for c in 0..CHECKERS {
             let t = Arc::clone(&t);
             let stop = Arc::clone(&stop);
+            let start = Arc::clone(&start);
+            let progress = Arc::clone(&progress);
             handles.push(std::thread::spawn(move || {
                 let mut ok = 0u64;
+                start.wait();
                 while stop.load(Ordering::Relaxed) == 0 {
                     t.check_bounded(0, 8, &cfg).expect("8 is always legal");
                     assert!(
@@ -1768,10 +1795,12 @@ mod tests {
                         "16 must never match slot 0"
                     );
                     ok += 1;
+                    progress[c].fetch_add(1, Ordering::Relaxed);
                 }
                 ok
             }));
         }
+        start.wait();
         assert!(t.bump_version().completed);
         let crashed = t.bump_version(); // planned crash between phases
         assert!(!crashed.completed);
@@ -1780,7 +1809,7 @@ mod tests {
         while t.repair_count() == 0 {
             std::thread::yield_now();
         }
-        stop.store(1, Ordering::Relaxed);
+        stop_after_one_more_iteration(&progress, &stop);
         for h in handles {
             assert!(h.join().unwrap() > 0);
         }

@@ -1,4 +1,4 @@
-//! Multithreaded fleet battery: conservation laws under work-stealing
+//! Multithreaded fleet battery: conservation laws under worker-pool
 //! storm drives, byte-for-byte equivalence of `threads = 1` with the
 //! deterministic driver, per-tenant trajectory invariance across thread
 //! counts, and concurrent dlopen storms over one shared image.
@@ -106,9 +106,11 @@ fn opts(threads: usize) -> FleetOptions {
     }
 }
 
-/// The conservation laws every drive mode must satisfy: requests are
-/// served or shed exactly once, restarts never exceed failures, and the
-/// rollup agrees with the per-tenant breakdown.
+/// The conservation laws every pool drive must satisfy: requests are
+/// served or shed exactly once, restarts never exceed failures, the
+/// rollup agrees with the per-tenant breakdown, and the workers claimed
+/// every tenant with a budget and drove every request exactly once
+/// between them.
 fn assert_conserved(s: &FleetStats, budget: u64) {
     assert_eq!(s.requests, budget, "every scheduled request was accounted");
     let mut requests = 0u64;
@@ -128,6 +130,18 @@ fn assert_conserved(s: &FleetStats, budget: u64) {
     assert_eq!(s.requests, requests, "rollup matches the per-tenant sum");
     assert_eq!(s.served + s.shed, s.requests, "served + shed covers everything");
     assert_eq!(s.restarts, restarts, "no lost or double-counted restarts");
+    assert_eq!(
+        s.workers.iter().map(|w| w.requests).sum::<u64>(),
+        budget,
+        "the workers drove every request exactly once between them: {:?}",
+        s.workers
+    );
+    assert_eq!(
+        s.workers.iter().map(|w| w.tenants).sum::<u64>(),
+        s.per_tenant.iter().filter(|t| t.requests > 0).count() as u64,
+        "every tenant with a budget was claimed exactly once: {:?}",
+        s.workers
+    );
 }
 
 #[test]
@@ -151,11 +165,6 @@ fn a_multithreaded_storm_conserves_every_counter() {
     assert_conserved(&s, budget);
     assert!(s.faults_fired > 0, "the storm bit: {s:?}");
     assert_eq!(s.workers.len(), 4, "one stats row per worker");
-    assert_eq!(
-        s.workers.iter().map(|w| w.requests).sum::<u64>(),
-        budget,
-        "the workers drove every request exactly once between them"
-    );
 
     // The crashers hit the intensity ban with *exact* restart
     // accounting: max_restarts reboots, then the (max_restarts + 1)-th
@@ -218,8 +227,8 @@ fn per_tenant_trajectories_match_the_deterministic_run_at_any_thread_count() {
         let mt = drive(threads);
         // With overload coupling disabled, a tenant's counters — digest
         // included, which folds every served RunResult byte — are a
-        // pure function of its local tick sequence, so work stealing
-        // must not change a single one of them.
+        // pure function of its local tick sequence, so which worker
+        // claims a tenant must not change a single one of them.
         assert_eq!(
             st.per_tenant, mt.per_tenant,
             "{threads}-thread drive perturbed a tenant trajectory"
@@ -278,9 +287,9 @@ fn concurrent_dlopen_storms_heal_across_shared_image_tenants() {
 
 #[test]
 fn scheduler_chaos_perturbs_scheduling_but_not_tenant_results() {
-    // WorkerStall parks a worker mid-drive and StealBias forces
-    // cross-worker tenant migration; both reshuffle *which worker*
-    // serves a tenant, which must not change *what* the tenant computes.
+    // WorkerStall parks a worker on the tenant it just claimed, which
+    // reshuffles *which worker* serves the other tenants; that must not
+    // change *what* any tenant computes.
     let pre = prebuild();
     const N: usize = 4;
     const PER_TENANT: u64 = 8;
@@ -293,20 +302,15 @@ fn scheduler_chaos_perturbs_scheduling_but_not_tenant_results() {
 
     let mut fleet = Fleet::new(specs(&pre), opts(3)).expect("boots");
     for i in 0..N {
-        fleet.arm_tenant_plan(
-            i,
-            FaultPlan::new()
-                .with(FaultPoint::WorkerStall, 1, 2_000)
-                .with(FaultPoint::StealBias, 1, i as u64)
-                .with(FaultPoint::StealBias, 2, i as u64 + 1),
-        );
+        fleet.arm_tenant_plan(i, FaultPlan::new().with(FaultPoint::WorkerStall, 1, 2_000));
     }
     fleet.run_requests(N as u64 * PER_TENANT);
     let s = fleet.stats();
     assert_conserved(&s, N as u64 * PER_TENANT);
-    assert!(
-        s.workers.iter().map(|w| w.stalls).sum::<u64>() > 0,
-        "the stall plans fired: {:?}",
+    assert_eq!(
+        s.workers.iter().map(|w| w.stalls).sum::<u64>(),
+        N as u64,
+        "each armed tenant stalled its worker once, on its one claim: {:?}",
         s.workers
     );
     for (a, b) in base_stats.per_tenant.iter().zip(&s.per_tenant) {
