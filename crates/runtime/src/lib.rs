@@ -768,6 +768,51 @@ mod tests {
     }
 
     #[test]
+    fn retained_checkpoints_restore_out_of_order_and_rollbacks_are_exact() {
+        use mcfi_chaos::{FaultPlan, FaultPoint};
+        // Every run bumps a global and recurses one level deeper, so each
+        // capture holds a different image and each run a different result.
+        let src = "int runs = 0;\n\
+                   int depth(int n) { if (n == 0) { return runs; } return depth(n - 1) + 1; }\n\
+                   int main(void) { runs = runs + 1; return depth(runs * 3) % 256; }";
+        // Uncached, so a run's cache counters do not depend on whether a
+        // restore (which bumps the generation) came before it.
+        let mut p = boot_full(
+            src,
+            &CodegenOptions::default(),
+            ProcessOptions { predecode: false, ..Default::default() },
+        );
+        let (mut images, mut results) = (Vec::new(), Vec::new());
+        for _ in 0..6 {
+            p.checkpoint_now();
+            images.push(p.mem().raw().to_vec());
+            results.push(p.run("__start").unwrap());
+        }
+        assert!(images.windows(2).all(|w| w[0] != w[1]), "every run writes memory");
+        let retained = p.checkpoints().to_vec();
+        assert_eq!(retained.len(), 4, "the ring keeps the newest four");
+        // The lifetime totals are the only fields a restore may change.
+        let comparable = |r: &RunResult| RunResult { checkpoints: 0, restores: 0, ..r.clone() };
+        // Second, oldest, newest, third of the retained captures 2..=5.
+        for k in [1, 0, 3, 2] {
+            let capture = k + 2;
+            p.restore(&retained[k]).expect("restore succeeds");
+            assert!(p.mem().raw() == &images[capture][..], "capture {capture}: memory differs");
+            let r = p.run("__start").unwrap();
+            assert_eq!(comparable(&r), comparable(&results[capture]), "capture {capture}");
+        }
+
+        p.checkpoint_now();
+        let (bytes, regions) = (p.mem().raw().to_vec(), p.mem().regions().to_vec());
+        p.arm_chaos(FaultPlan::new().with(FaultPoint::VerifierReject, 1, 0));
+        let lib = compile("libextra", "int extra(int x) { return x + 1; }");
+        assert!(p.load(lib).is_err(), "the injected reject fails the load");
+        assert_eq!(p.load_rollbacks(), 1);
+        assert!(p.mem().raw() == &bytes[..], "the rollback restores every byte");
+        assert_eq!(p.mem().regions(), &regions[..], "and every mapping");
+    }
+
+    #[test]
     fn step_limit_terminates_infinite_loops() {
         let mut p = Process::new(ProcessOptions { max_steps: 10_000, ..Default::default() })
             .expect("valid layout");

@@ -8,6 +8,11 @@
 
 use core::cell::Cell;
 use core::fmt;
+use std::sync::Arc;
+
+/// Bytes per snapshot page: the unit [`Sandbox::snapshot`] compares,
+/// copies, hashes and shares.
+const PAGE_SIZE: usize = 4096;
 
 /// Region permissions.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -100,16 +105,27 @@ pub struct Sandbox {
     /// (never removed, never resized), so the hint can go stale —
     /// costing one full scan — but never wrong.
     data_hint: Cell<usize>,
+    /// The pages of the latest snapshot or restore, one per `PAGE_SIZE`
+    /// chunk of `bytes` (the last may be shorter). The next snapshot
+    /// copies only the live pages that differ from these.
+    base: Vec<Page>,
 }
 
 impl Sandbox {
     /// Creates a sandbox backed by `size` bytes (all initially unmapped).
     pub fn new(size: usize) -> Self {
+        // Every whole page starts as one shared zero page.
+        let zero = [0; PAGE_SIZE];
+        let mut base = vec![Page::new(&zero); size / PAGE_SIZE];
+        if !size.is_multiple_of(PAGE_SIZE) {
+            base.push(Page::new(&zero[..size % PAGE_SIZE]));
+        }
         Sandbox {
             bytes: vec![0; size],
             regions: Vec::new(),
             generation: 0,
             data_hint: Cell::new(usize::MAX),
+            base,
         }
     }
 
@@ -292,21 +308,44 @@ impl Sandbox {
         Ok(String::from_utf8_lossy(&out).into_owned())
     }
 
-    /// Captures the full memory image and region table, for transactional
-    /// operations (a dynamic load that may have to be undone).
-    pub fn snapshot(&self) -> SandboxSnapshot {
-        SandboxSnapshot { bytes: self.bytes.clone(), regions: self.regions.clone() }
+    /// Captures the memory image and region table, for checkpoints and
+    /// transactional operations (a dynamic load that may have to be
+    /// undone).
+    ///
+    /// Only the pages whose bytes differ from the latest snapshot or
+    /// restore are copied and hashed; every other page is shared with
+    /// it. Comparing at capture, rather than tracking stores, keeps
+    /// `write8`/`write64` and [`Sandbox::raw_mut`] free of bookkeeping.
+    pub fn snapshot(&mut self) -> SandboxSnapshot {
+        for (page, live) in self.base.iter_mut().zip(self.bytes.chunks(PAGE_SIZE)) {
+            if *page.bytes != *live {
+                *page = Page::new(live);
+            }
+        }
+        SandboxSnapshot { pages: self.base.clone(), regions: self.regions.clone() }
     }
 
     /// Restores a [`Sandbox::snapshot`], discarding every mapping and
-    /// byte written since it was taken.
+    /// byte written since it was taken. Only pages whose live bytes
+    /// differ from the snapshot's are written back, and the snapshot's
+    /// pages become the base of the next one.
     ///
     /// The generation counter is *not* restored: it keeps counting
     /// forward, so predecode caches built against the discarded state can
     /// never validate against the restored one.
-    pub fn restore(&mut self, snap: SandboxSnapshot) {
-        self.bytes = snap.bytes;
-        self.regions = snap.regions;
+    ///
+    /// # Panics
+    ///
+    /// If `snap` was taken from a sandbox of another size.
+    pub fn restore(&mut self, snap: &SandboxSnapshot) {
+        assert_eq!(snap.pages.len(), self.base.len(), "snapshot of a differently sized sandbox");
+        for (live, page) in self.bytes.chunks_mut(PAGE_SIZE).zip(&snap.pages) {
+            if *live != *page.bytes {
+                live.copy_from_slice(&page.bytes);
+            }
+        }
+        self.base.clone_from(&snap.pages);
+        self.regions.clone_from(&snap.regions);
         self.generation += 1;
         self.data_hint.set(usize::MAX);
     }
@@ -327,40 +366,75 @@ impl Sandbox {
     }
 }
 
-/// An owned copy of a sandbox's memory image and region table (see
-/// [`Sandbox::snapshot`]).
+/// One immutable page of a snapshot, shared by every snapshot (and the
+/// sandbox's base) taken while the live page did not change.
+#[derive(Clone, Debug)]
+struct Page {
+    bytes: Arc<[u8]>,
+    /// FNV-1a of `bytes`, computed once when the page was copied.
+    digest: u64,
+}
+
+impl Page {
+    fn new(bytes: &[u8]) -> Self {
+        Page { digest: fnv1a(FNV_OFFSET, bytes), bytes: bytes.into() }
+    }
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Continues the FNV-1a hash `h` over `bytes`.
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// A sandbox's memory image, as a table of immutable pages, and its
+/// region table (see [`Sandbox::snapshot`]). Cloning one shares the
+/// pages.
 #[derive(Clone, Debug)]
 pub struct SandboxSnapshot {
-    bytes: Vec<u8>,
+    pages: Vec<Page>,
     regions: Vec<Region>,
 }
 
 impl SandboxSnapshot {
-    /// A content digest (FNV-1a over the image and region table) for
-    /// integrity-checking stored snapshots: a checkpoint records the
-    /// digest at capture time and verifies it before restoring, so a
+    /// A content digest for integrity-checking stored snapshots,
+    /// recomputed from the page bytes: FNV-1a over each page's index and
+    /// FNV-1a digest, then over the region table. A checkpoint records
+    /// the same digest at capture, folded from the page digests cached
+    /// then, and verifies this one against it before restoring, so a
     /// corrupted checkpoint is detected instead of silently resuming
     /// from garbage.
     pub fn digest(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut eat = |b: u8| {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(PRIME);
-        };
-        for &b in &self.bytes {
-            eat(b);
+        self.fold(self.pages.iter().map(|p| fnv1a(FNV_OFFSET, &p.bytes)))
+    }
+
+    /// The same digest folded from the page digests cached when each
+    /// page was copied: cheap to take at capture, and equal to
+    /// [`SandboxSnapshot::digest`] as long as the page bytes are intact.
+    pub(crate) fn capture_digest(&self) -> u64 {
+        self.fold(self.pages.iter().map(|p| p.digest))
+    }
+
+    fn fold(&self, page_digests: impl Iterator<Item = u64>) -> u64 {
+        let mut h = FNV_OFFSET;
+        for (i, d) in page_digests.enumerate() {
+            h = fnv1a(h, &(i as u64).to_le_bytes());
+            h = fnv1a(h, &d.to_le_bytes());
         }
         for r in &self.regions {
-            for b in r.start.to_le_bytes().into_iter().chain(r.end.to_le_bytes()) {
-                eat(b);
-            }
-            eat(match r.perm {
+            h = fnv1a(h, &r.start.to_le_bytes());
+            h = fnv1a(h, &r.end.to_le_bytes());
+            let perm = match r.perm {
                 Perm::R => 0,
                 Perm::Rw => 1,
                 Perm::Rx => 2,
-            });
+            };
+            h = fnv1a(h, &[perm]);
         }
         h
     }
@@ -369,6 +443,7 @@ impl SandboxSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn snapshot_restore_undoes_mappings_and_writes() {
@@ -380,7 +455,7 @@ mod tests {
         m.write64(0x10, 99).unwrap();
         m.map(0x200, 0x100, Perm::Rx).unwrap();
         m.load_image(0x200, &[1, 2, 3]).unwrap();
-        m.restore(snap);
+        m.restore(&snap);
         assert_eq!(m.read64(0x10).unwrap(), 7, "bytes roll back");
         assert!(m.region_of(0x200).is_none(), "mappings roll back");
         assert!(
@@ -483,5 +558,131 @@ mod tests {
     fn out_of_backing_mapping_fails() {
         let mut m = Sandbox::new(0x100);
         assert!(matches!(m.map(0x80, 0x100, Perm::Rw), Err(MemFault::OutOfMemory)));
+    }
+
+    #[test]
+    fn digest_checks_the_page_bytes_not_the_cached_page_digests() {
+        let mut m = Sandbox::new(2 * PAGE_SIZE);
+        m.map(0, 0x100, Perm::Rw).unwrap();
+        m.write64(0x10, 7).unwrap();
+        let mut snap = m.snapshot();
+        let captured = snap.capture_digest();
+        assert_eq!(snap.digest(), captured);
+        // Other bytes behind the page's cached digest: the capture digest
+        // cannot see it, the recomputed one (what restore checks) must.
+        snap.pages[0].bytes = vec![0xa5; PAGE_SIZE].into();
+        assert_eq!(snap.capture_digest(), captured);
+        assert_ne!(snap.digest(), captured);
+    }
+
+    /// A flat reference model of a [`Sandbox`]: its bytes and regions.
+    #[derive(Clone)]
+    struct Model {
+        bytes: Vec<u8>,
+        regions: Vec<Region>,
+    }
+
+    impl Model {
+        /// Whether one region holds `[addr, addr + len)` and allows the
+        /// access.
+        fn allows(&self, addr: u64, len: u64, write: bool) -> bool {
+            self.regions.iter().any(|r| {
+                r.start <= addr && addr + len <= r.end && (!write || r.perm.writable())
+            })
+        }
+    }
+
+    /// Not a whole number of pages, so the short last page is exercised.
+    const MODEL_SIZE: u64 = 3 * PAGE_SIZE as u64 + 0x100;
+
+    proptest! {
+        #[test]
+        fn snapshots_restore_a_flat_model(
+            ops in proptest::collection::vec(
+                (0u8..9, 0..MODEL_SIZE, 0u64..0x2000, any::<u64>()),
+                1..80,
+            )
+        ) {
+            let mut m = Sandbox::new(MODEL_SIZE as usize);
+            let mut model = Model { bytes: vec![0; MODEL_SIZE as usize], regions: Vec::new() };
+            // One writable region across the first page boundary, so
+            // most writes land.
+            m.map(0x800, 0x1800, Perm::Rw).unwrap();
+            model.regions.push(Region { start: 0x800, end: 0x2000, perm: Perm::Rw });
+            let mut snaps: Vec<(SandboxSnapshot, Model)> = Vec::new();
+            let mut generation = m.generation();
+            for (op, a, b, v) in ops {
+                match op {
+                    0 => {
+                        let len = 1 + b % 0x1000;
+                        let perm = [Perm::R, Perm::Rw, Perm::Rx][v as usize % 3];
+                        let end = a + len;
+                        let ok = end <= MODEL_SIZE
+                            && !model.regions.iter().any(|r| a < r.end && r.start < end);
+                        prop_assert_eq!(m.map(a, len, perm).is_ok(), ok);
+                        if ok {
+                            model.regions.push(Region { start: a, end, perm });
+                        }
+                    }
+                    1 => {
+                        let ok = model.allows(a, 1, true);
+                        prop_assert_eq!(m.write8(a, v as u8).is_ok(), ok);
+                        if ok {
+                            model.bytes[a as usize] = v as u8;
+                        }
+                    }
+                    2 | 3 => {
+                        // Op 3 straddles one of the page boundaries.
+                        let addr =
+                            if op == 2 { a } else { PAGE_SIZE as u64 * (1 + a % 3) - 1 - b % 7 };
+                        let ok = model.allows(addr, 8, true);
+                        prop_assert_eq!(m.write64(addr, v).is_ok(), ok);
+                        if ok {
+                            let at = addr as usize;
+                            model.bytes[at..at + 8].copy_from_slice(&v.to_le_bytes());
+                        }
+                    }
+                    4 => {
+                        let image: Vec<u8> =
+                            (0..1 + b).map(|i| (v >> (i % 8 * 8)) as u8 ^ i as u8).collect();
+                        let end = a as usize + image.len();
+                        let ok = end <= model.bytes.len();
+                        prop_assert_eq!(m.load_image(a, &image).is_ok(), ok);
+                        if ok {
+                            model.bytes[a as usize..end].copy_from_slice(&image);
+                        }
+                    }
+                    5 => {
+                        for i in 0..b % 64 {
+                            let at = ((a + i * 61) % MODEL_SIZE) as usize;
+                            m.raw_mut()[at] = v as u8;
+                            model.bytes[at] = v as u8;
+                        }
+                    }
+                    6 => {
+                        let snap = m.snapshot();
+                        prop_assert_eq!(snap.capture_digest(), snap.digest());
+                        snaps.push((snap, model.clone()));
+                    }
+                    _ => {
+                        if snaps.is_empty() {
+                            continue;
+                        }
+                        let (snap, at_capture) = &snaps[a as usize % snaps.len()];
+                        m.restore(snap);
+                        model = at_capture.clone();
+                        prop_assert!(m.raw() == &model.bytes[..], "restored bytes differ");
+                        prop_assert_eq!(m.regions(), &model.regions[..]);
+                        prop_assert_eq!(m.size(), MODEL_SIZE as usize);
+                        prop_assert!(m.generation() > generation, "restore bumps the generation");
+                    }
+                }
+                prop_assert!(m.generation() >= generation, "the generation only grows");
+                generation = m.generation();
+            }
+            for (snap, _) in &snaps {
+                prop_assert_eq!(snap.capture_digest(), snap.digest());
+            }
+        }
     }
 }

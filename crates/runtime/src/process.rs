@@ -866,7 +866,7 @@ impl Process {
 
     fn capture_checkpoint(&mut self, vm: Option<&Vm>) -> Checkpoint {
         let mem = self.mem.snapshot();
-        let mut digest = mem.digest();
+        let mut digest = mem.capture_digest();
         // A corrupt checkpoint is modeled by skewing the *recorded*
         // digest: the snapshot payload is opaque to this layer, and an
         // unverifiable checkpoint is exactly what storage corruption
@@ -926,7 +926,7 @@ impl Process {
         if actual != cp.digest {
             return Err(RestoreError::Corrupt { expected: cp.digest, actual });
         }
-        self.mem.restore(cp.mem.clone());
+        self.mem.restore(&cp.mem);
         self.modules = cp.modules.clone();
         self.registry = cp.registry.clone();
         self.got = cp.got.clone();
@@ -1367,7 +1367,7 @@ impl Process {
         Err(LoadError::Admission(AdmissionError::VerifierReject { reason }))
     }
 
-    fn begin_load(&self) -> LoadTx {
+    fn begin_load(&mut self) -> LoadTx {
         LoadTx {
             mem: self.mem.snapshot(),
             modules_len: self.modules.len(),
@@ -1382,7 +1382,7 @@ impl Process {
     }
 
     fn rollback_load(&mut self, tx: LoadTx) {
-        self.mem.restore(tx.mem);
+        self.mem.restore(&tx.mem);
         self.modules.truncate(tx.modules_len);
         self.got = tx.got;
         self.plt = tx.plt;
