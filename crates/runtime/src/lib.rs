@@ -813,6 +813,45 @@ mod tests {
     }
 
     #[test]
+    fn checkpoints_share_modules_and_keep_them_unmarked() {
+        // `plugged` becomes address-taken only when `dlsym` hands it out,
+        // which widens the policy with an update transaction.
+        let src = "void* dlsym(char* name);\n\
+                   int plugged(int x) { return x * 3 + 1; }\n\
+                   int main(void) {\n\
+                     int (*f)(int) = (int(*)(int))dlsym(\"plugged\");\n\
+                     if (!f) { return -1; }\n\
+                     return f(13);\n\
+                   }";
+        // Uncached, so the run after the restore (which bumps the
+        // generation) reports the same cache counters as the first.
+        let mut p = boot_full(
+            src,
+            &CodegenOptions::default(),
+            ProcessOptions { predecode: false, ..Default::default() },
+        );
+        let plugged = p.symbol("plugged").expect("plugged is exported");
+        let before = p.current_policy();
+        assert!(!before.tary.contains_key(&plugged), "plugged is not yet address-taken");
+        let cp = p.checkpoint_now().clone();
+        assert!(p.shares_modules_with(&cp), "the checkpoint copied a module");
+
+        let first = p.run("__start").unwrap();
+        assert_eq!(first.outcome, Outcome::Exit { code: 40 });
+        assert!(first.updates >= 1, "the dlsym installs the widened policy");
+        assert!(p.current_policy().tary.contains_key(&plugged), "the dlsym marks plugged");
+        assert!(!p.shares_modules_with(&cp), "the mark copies the module it edits");
+
+        p.restore(&cp).expect("restore succeeds");
+        assert!(p.shares_modules_with(&cp), "the restore copied a module");
+        let policy = p.current_policy();
+        assert!(format!("{policy:?}") == format!("{before:?}"), "the restore unmarks plugged");
+        let comparable = |r: &RunResult| RunResult { checkpoints: 0, restores: 0, ..r.clone() };
+        let second = p.run("__start").unwrap();
+        assert_eq!(comparable(&second), comparable(&first), "the rerun marks plugged again");
+    }
+
+    #[test]
     fn step_limit_terminates_infinite_loops() {
         let mut p = Process::new(ProcessOptions { max_steps: 10_000, ..Default::default() })
             .expect("valid layout");

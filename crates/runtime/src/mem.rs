@@ -114,11 +114,9 @@ pub struct Sandbox {
 impl Sandbox {
     /// Creates a sandbox backed by `size` bytes (all initially unmapped).
     pub fn new(size: usize) -> Self {
-        // Every whole page starts as one shared zero page.
-        let zero = [0; PAGE_SIZE];
-        let mut base = vec![Page::new(&zero); size / PAGE_SIZE];
+        let mut base = vec![Page::Zero { len: PAGE_SIZE }; size / PAGE_SIZE];
         if !size.is_multiple_of(PAGE_SIZE) {
-            base.push(Page::new(&zero[..size % PAGE_SIZE]));
+            base.push(Page::Zero { len: size % PAGE_SIZE });
         }
         Sandbox {
             bytes: vec![0; size],
@@ -318,8 +316,8 @@ impl Sandbox {
     /// `write8`/`write64` and [`Sandbox::raw_mut`] free of bookkeeping.
     pub fn snapshot(&mut self) -> SandboxSnapshot {
         for (page, live) in self.base.iter_mut().zip(self.bytes.chunks(PAGE_SIZE)) {
-            if *page.bytes != *live {
-                *page = Page::new(live);
+            if page.bytes() != live {
+                *page = Page::copy(live);
             }
         }
         SandboxSnapshot { pages: self.base.clone(), regions: self.regions.clone() }
@@ -340,8 +338,8 @@ impl Sandbox {
     pub fn restore(&mut self, snap: &SandboxSnapshot) {
         assert_eq!(snap.pages.len(), self.base.len(), "snapshot of a differently sized sandbox");
         for (live, page) in self.bytes.chunks_mut(PAGE_SIZE).zip(&snap.pages) {
-            if *live != *page.bytes {
-                live.copy_from_slice(&page.bytes);
+            if *live != *page.bytes() {
+                live.copy_from_slice(page.bytes());
             }
         }
         self.base.clone_from(&snap.pages);
@@ -369,27 +367,63 @@ impl Sandbox {
 /// One immutable page of a snapshot, shared by every snapshot (and the
 /// sandbox's base) taken while the live page did not change.
 #[derive(Clone, Debug)]
-struct Page {
-    bytes: Arc<[u8]>,
-    /// FNV-1a of `bytes`, computed once when the page was copied.
-    digest: u64,
+enum Page {
+    /// A page never written since [`Sandbox::new`]: the first `len` bytes
+    /// of [`ZERO_PAGE`]. It holds no allocation, so cloning and dropping
+    /// it touch no reference count.
+    Zero { len: usize },
+    /// Bytes copied by a snapshot.
+    Copied {
+        bytes: Arc<[u8]>,
+        /// FNV-1a of `bytes`, computed once when the page was copied.
+        digest: u64,
+    },
 }
 
 impl Page {
-    fn new(bytes: &[u8]) -> Self {
-        Page { digest: fnv1a(FNV_OFFSET, bytes), bytes: bytes.into() }
+    fn copy(bytes: &[u8]) -> Self {
+        Page::Copied { digest: fnv1a(FNV_OFFSET, bytes), bytes: bytes.into() }
+    }
+
+    fn bytes(&self) -> &[u8] {
+        match self {
+            Page::Zero { len } => &ZERO_PAGE[..*len],
+            Page::Copied { bytes, .. } => bytes,
+        }
+    }
+
+    /// The FNV-1a digest of the page's bytes: cached for a copied page,
+    /// and fixed by the length for a zero page.
+    fn digest(&self) -> u64 {
+        match self {
+            Page::Zero { len: PAGE_SIZE } => ZERO_PAGE_DIGEST,
+            Page::Zero { len } => fnv1a(FNV_OFFSET, &ZERO_PAGE[..*len]),
+            Page::Copied { digest, .. } => *digest,
+        }
     }
 }
 
+/// The bytes of every [`Page::Zero`].
+static ZERO_PAGE: [u8; PAGE_SIZE] = [0; PAGE_SIZE];
+
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+const ZERO_PAGE_DIGEST: u64 = fnv1a(FNV_OFFSET, &[0; PAGE_SIZE]);
 
 /// Continues the FNV-1a hash `h` over `bytes`.
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+const fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    let mut i = 0;
+    while i < bytes.len() {
+        h = mix(h, bytes[i] as u64);
+        i += 1;
     }
     h
+}
+
+/// One FNV-1a step that takes a whole 64-bit word where FNV-1a takes a
+/// byte.
+const fn mix(h: u64, word: u64) -> u64 {
+    (h ^ word).wrapping_mul(FNV_PRIME)
 }
 
 /// A sandbox's memory image, as a table of immutable pages, and its
@@ -403,38 +437,41 @@ pub struct SandboxSnapshot {
 
 impl SandboxSnapshot {
     /// A content digest for integrity-checking stored snapshots,
-    /// recomputed from the page bytes: FNV-1a over each page's index and
-    /// FNV-1a digest, then over the region table. A checkpoint records
-    /// the same digest at capture, folded from the page digests cached
-    /// then, and verifies this one against it before restoring, so a
-    /// corrupted checkpoint is detected instead of silently resuming
-    /// from garbage.
+    /// recomputed from the page bytes. It is a function of the bytes and
+    /// the region table alone: each page's index and FNV-1a digest, then
+    /// each region's start, end and permission, folded in as 64-bit
+    /// words, one FNV-1a step per word. A checkpoint records the same
+    /// digest at capture, folded from the page digests cached then, and
+    /// verifies this one against it before restoring, so a corrupted
+    /// checkpoint is detected instead of silently resuming from garbage.
+    /// Only pages that hold copied bytes are hashed again; a zero page
+    /// stores none.
     pub fn digest(&self) -> u64 {
-        self.fold(self.pages.iter().map(|p| fnv1a(FNV_OFFSET, &p.bytes)))
+        self.fold(self.pages.iter().map(|p| match p {
+            Page::Zero { .. } => p.digest(),
+            Page::Copied { bytes, .. } => fnv1a(FNV_OFFSET, bytes),
+        }))
     }
 
     /// The same digest folded from the page digests cached when each
     /// page was copied: cheap to take at capture, and equal to
     /// [`SandboxSnapshot::digest`] as long as the page bytes are intact.
     pub(crate) fn capture_digest(&self) -> u64 {
-        self.fold(self.pages.iter().map(|p| p.digest))
+        self.fold(self.pages.iter().map(Page::digest))
     }
 
     fn fold(&self, page_digests: impl Iterator<Item = u64>) -> u64 {
         let mut h = FNV_OFFSET;
         for (i, d) in page_digests.enumerate() {
-            h = fnv1a(h, &(i as u64).to_le_bytes());
-            h = fnv1a(h, &d.to_le_bytes());
+            h = mix(mix(h, i as u64), d);
         }
         for r in &self.regions {
-            h = fnv1a(h, &r.start.to_le_bytes());
-            h = fnv1a(h, &r.end.to_le_bytes());
             let perm = match r.perm {
                 Perm::R => 0,
                 Perm::Rw => 1,
                 Perm::Rx => 2,
             };
-            h = fnv1a(h, &[perm]);
+            h = mix(mix(mix(h, r.start), r.end), perm);
         }
         h
     }
@@ -570,9 +607,32 @@ mod tests {
         assert_eq!(snap.digest(), captured);
         // Other bytes behind the page's cached digest: the capture digest
         // cannot see it, the recomputed one (what restore checks) must.
-        snap.pages[0].bytes = vec![0xa5; PAGE_SIZE].into();
+        snap.pages[0] =
+            Page::Copied { bytes: vec![0xa5; PAGE_SIZE].into(), digest: snap.pages[0].digest() };
         assert_eq!(snap.capture_digest(), captured);
         assert_ne!(snap.digest(), captured);
+    }
+
+    #[test]
+    fn a_page_written_back_to_zeros_hashes_like_a_never_written_page() {
+        let mut m = Sandbox::new(2 * PAGE_SIZE);
+        m.map(0, 0x100, Perm::Rw).unwrap();
+        let never = m.snapshot();
+        m.write64(0x10, 7).unwrap();
+        let written = m.snapshot();
+        m.write64(0x10, 0).unwrap();
+        let zeroed = m.snapshot();
+        assert!(matches!(never.pages[0], Page::Zero { .. }));
+        assert!(matches!(zeroed.pages[0], Page::Copied { .. }), "the zeroed page was copied");
+        assert_ne!(written.digest(), never.digest());
+        assert_eq!(zeroed.digest(), never.digest());
+        assert_eq!(zeroed.capture_digest(), never.capture_digest());
+        for snap in [&never, &zeroed] {
+            m.restore(&written);
+            m.restore(snap);
+            assert!(m.raw().iter().all(|&b| b == 0), "restoring either gives zeros");
+            assert_eq!(m.regions(), never.regions.as_slice());
+        }
     }
 
     /// A flat reference model of a [`Sandbox`]: its bytes and regions.
@@ -589,6 +649,24 @@ mod tests {
             self.regions.iter().any(|r| {
                 r.start <= addr && addr + len <= r.end && (!write || r.perm.writable())
             })
+        }
+
+        /// [`SandboxSnapshot::digest`]'s definition, from the flat bytes
+        /// and regions alone.
+        fn digest(&self) -> u64 {
+            let mut h = FNV_OFFSET;
+            for (i, page) in self.bytes.chunks(PAGE_SIZE).enumerate() {
+                h = mix(mix(h, i as u64), fnv1a(FNV_OFFSET, page));
+            }
+            for r in &self.regions {
+                let perm = match r.perm {
+                    Perm::R => 0,
+                    Perm::Rw => 1,
+                    Perm::Rx => 2,
+                };
+                h = mix(mix(mix(h, r.start), r.end), perm);
+            }
+            h
         }
     }
 
@@ -662,6 +740,7 @@ mod tests {
                     6 => {
                         let snap = m.snapshot();
                         prop_assert_eq!(snap.capture_digest(), snap.digest());
+                        prop_assert_eq!(snap.digest(), model.digest());
                         snaps.push((snap, model.clone()));
                     }
                     _ => {
@@ -680,8 +759,9 @@ mod tests {
                 prop_assert!(m.generation() >= generation, "the generation only grows");
                 generation = m.generation();
             }
-            for (snap, _) in &snaps {
+            for (snap, at_capture) in &snaps {
                 prop_assert_eq!(snap.capture_digest(), snap.digest());
+                prop_assert_eq!(snap.digest(), at_capture.digest());
             }
         }
     }

@@ -421,9 +421,12 @@ impl fmt::Display for LoadError {
 
 impl std::error::Error for LoadError {}
 
+/// A module in the process's load order. Checkpoints share the module
+/// itself; the only edit a loaded module takes, an address-taken mark,
+/// copies it first.
 #[derive(Clone)]
 struct LoadedModule {
-    module: Module,
+    module: Arc<Module>,
     code_base: u64,
     data_base: u64,
 }
@@ -896,6 +899,14 @@ impl Process {
         }
     }
 
+    /// Whether `cp` holds the process's loaded modules themselves, none
+    /// of them copied.
+    #[cfg(test)]
+    pub(crate) fn shares_modules_with(&self, cp: &Checkpoint) -> bool {
+        self.modules.len() == cp.modules.len()
+            && self.modules.iter().zip(&cp.modules).all(|(a, b)| Arc::ptr_eq(&a.module, &b.module))
+    }
+
     fn push_checkpoint(&mut self, cp: Checkpoint) {
         if self.checkpoints.len() == Self::MAX_CHECKPOINTS {
             self.checkpoints.remove(0);
@@ -927,7 +938,7 @@ impl Process {
             return Err(RestoreError::Corrupt { expected: cp.digest, actual });
         }
         self.mem.restore(&cp.mem);
-        self.modules = cp.modules.clone();
+        self.modules.clone_from(&cp.modules);
         self.registry = cp.registry.clone();
         self.got = cp.got.clone();
         self.plt = cp.plt.clone();
@@ -1448,35 +1459,33 @@ impl Process {
         }
 
         let module_idx = self.modules.len();
-        self.modules.push(LoadedModule { module, code_base, data_base });
+        let module = Arc::new(module);
+        self.modules.push(LoadedModule { module: Arc::clone(&module), code_base, data_base });
 
         // Assign global Bary slots and patch the BaryLoad immediates
         // ("the loader patches the code to embed constant Bary table
         // indexes", §5.1).
-        let branch_count = self.modules[module_idx].module.aux.indirect_branches.len();
-        if self.total_slots + branch_count > self.opts.bary_capacity {
+        let branches = &module.aux.indirect_branches;
+        if self.total_slots + branches.len() > self.opts.bary_capacity {
             return Err(LoadError::BaryOverflow);
         }
-        for bi in 0..branch_count {
-            let check_offset = self.modules[module_idx].module.aux.indirect_branches[bi].check_offset;
+        for (bi, branch) in branches.iter().enumerate() {
             let slot = (self.total_slots + bi) as u32;
-            let at = code_base + check_offset as u64 + 2;
+            let at = code_base + branch.check_offset as u64 + 2;
             for (k, byte) in slot.to_le_bytes().into_iter().enumerate() {
                 self.mem
                     .write8(at + k as u64, byte)
                     .map_err(|e| LoadError::Mem(e.to_string()))?;
             }
         }
-        self.total_slots += branch_count;
+        self.total_slots += branches.len();
 
         // Apply code relocations.
-        let relocs = self.modules[module_idx].module.relocs.clone();
-        for r in &relocs {
+        for r in &module.relocs {
             self.apply_reloc(module_idx, code_base, r.patch_at, &r.kind, false)?;
         }
         // Fill jump tables with absolute entry addresses.
-        let tables_info = self.modules[module_idx].module.aux.jump_tables.clone();
-        for t in &tables_info {
+        for t in &module.aux.jump_tables {
             for (i, entry) in t.entries.iter().enumerate() {
                 let at = code_base + t.table_offset as u64 + (i as u64) * 8;
                 let target = code_base + *entry as u64;
@@ -1484,8 +1493,7 @@ impl Process {
             }
         }
         // Apply data relocations.
-        let data_relocs = self.modules[module_idx].module.data_relocs.clone();
-        for r in &data_relocs {
+        for r in &module.data_relocs {
             self.apply_reloc(module_idx, data_base, r.patch_at, &r.kind, true)?;
         }
 
@@ -1613,18 +1621,22 @@ impl Process {
         self.mem
             .protect(code_base, Perm::Rx)
             .map_err(|e| LoadError::Mem(e.to_string()))?;
-        self.modules.push(LoadedModule { module: m, code_base, data_base: 0 });
+        self.modules.push(LoadedModule { module: Arc::new(m), code_base, data_base: 0 });
         self.plt.insert(symbol.to_string(), code_base);
         Ok(code_base)
     }
 
     /// Marks an exported function as address-taken (e.g. after `dlsym`
     /// hands out its address). Returns whether anything changed.
+    ///
+    /// The mark is copy-on-write: a checkpoint that shares the module
+    /// keeps it unmarked.
     fn mark_address_taken(&mut self, name: &str) -> bool {
         for lm in &mut self.modules {
-            if let Some(f) = lm.module.functions.get_mut(name) {
+            if let Some(f) = lm.module.functions.get(name) {
                 if f.size > 0 && !f.is_static && !f.address_taken {
-                    f.address_taken = true;
+                    let module = Arc::make_mut(&mut lm.module);
+                    module.functions.get_mut(name).expect("found above").address_taken = true;
                     return true;
                 }
             }

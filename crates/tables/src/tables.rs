@@ -1541,12 +1541,16 @@ mod tests {
     #[test]
     fn check_once_reports_version_skew_as_retry() {
         let t = demo_tables();
-        // Manually skew: bump only the Tary side by simulating an interrupted
-        // update (direct store through the public API is not possible, so we
-        // run a full bump and then a half-check against a stale branch word).
-        // Instead verify that check_once returns Some on a settled table.
         assert!(t.check_once(0, 8).unwrap().is_ok());
         assert!(t.check_once(0, 16).unwrap().is_err());
+        // Between the split bump's Tary and Bary phases the target's word
+        // carries the new version and the branch's the old one.
+        let split = t.bump_version_split();
+        let retries = t.retry_count();
+        assert!(t.check_once(0, 8).is_none(), "a skewed check is retried, not decided");
+        assert!(t.retry_count() > retries, "the skew counts as a retry");
+        split.finish();
+        assert!(matches!(t.check_once(0, 8), Some(Ok(_))));
     }
 
     #[test]
