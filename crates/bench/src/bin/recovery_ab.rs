@@ -7,9 +7,9 @@
 //! transaction — before its main loop. A "crash" late in the run is
 //! then recovered two ways:
 //!
-//! - **checkpointed**: restore the latest mid-run [`Checkpoint`]
-//!   (sandbox snapshot + VM registers + module set) and resume — the
-//!   prologue is never repaid;
+//! - **checkpointed**: restore the latest mid-run
+//!   [`Checkpoint`](mcfi_runtime::Checkpoint) (sandbox snapshot + VM
+//!   registers + module set) and resume — the prologue is never repaid;
 //! - **from-scratch**: boot a fresh process (reload every module) and
 //!   re-run the whole program.
 //!

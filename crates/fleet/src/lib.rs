@@ -1,9 +1,9 @@
 //! A supervision tree over a fleet of MCFI processes.
 //!
-//! One [`Supervisor`](mcfi_supervisor::Supervisor) heals a single
-//! process; this crate composes N of them into a [`Fleet`] of
-//! *independent fault domains* — one per tenant — and adds the layer a
-//! multi-tenant deployment needs on top of per-process self-healing:
+//! One [`Supervisor`] heals a single process; this crate composes N of
+//! them into a [`Fleet`] of *independent fault domains* — one per
+//! tenant — and adds the layer a multi-tenant deployment needs on top
+//! of per-process self-healing:
 //!
 //! * **One-for-one restarts with an intensity window** — a tenant whose
 //!   request fails terminally (a fault, an enforced violation, a blown

@@ -2,9 +2,9 @@
 //!
 //! A guest hands `dlopen` arbitrary bytes; everything the runtime does
 //! with them afterwards — linking, verification, table generation —
-//! assumes the [`Module`](crate::Module) invariants hold (offsets inside
-//! the code/data images, branch metadata pointing at real check
-//! sequences, a coherent type environment). [`Module::decode_image`]
+//! assumes the [`Module`] invariants hold (offsets inside the code/data
+//! images, branch metadata pointing at real check sequences, a coherent
+//! type environment). [`Module::decode_image`]
 //! re-establishes those invariants at the trust boundary: it decodes
 //! under a [`DecodeLimits`] budget and then structurally validates every
 //! offset the loader or verifier will later trust, so downstream code can

@@ -29,7 +29,7 @@ use crate::process::{LoadError, Process, ProcessOptions};
 /// fleet can hand one image to many tenants.
 #[derive(Clone)]
 pub struct SharedImage {
-    modules: Arc<Vec<Module>>,
+    modules: Arc<[Arc<Module>]>,
     tables: SharedTables,
     opts: ProcessOptions,
 }
@@ -55,8 +55,9 @@ impl SharedImage {
     /// Any [`LoadError`] the prototype boot reports — a module set that
     /// cannot load privately cannot be shared either.
     pub fn build(modules: Vec<Module>, opts: ProcessOptions) -> Result<Self, LoadError> {
+        let modules: Arc<[Arc<Module>]> = modules.into_iter().map(Arc::new).collect();
         let mut proto = Process::new(opts)?;
-        proto.load_all(modules.clone())?;
+        proto.load_all(modules.iter().cloned())?;
         let proto_tables = proto.tables();
         let tables = SharedTables::new(TablesConfig {
             code_size: opts.layout.code_limit as usize,
@@ -74,7 +75,7 @@ impl SharedImage {
             move |addr| tary.get(&addr).copied(),
             move |slot| bary.get(slot).copied().flatten(),
         );
-        Ok(SharedImage { modules: Arc::new(modules), tables, opts })
+        Ok(SharedImage { modules, tables, opts })
     }
 
     /// Attaches a new process with the image's canonical options: a
@@ -86,11 +87,12 @@ impl SharedImage {
 
     /// Like [`SharedImage::attach`] with per-process options (violation
     /// policy, step ceilings, …). The layout and `bary_capacity` must
-    /// match the image's, since they size the shared tables.
+    /// match the image's, since they size the shared tables. The process
+    /// loads the image's modules themselves, not copies.
     pub fn attach_with(&self, opts: ProcessOptions) -> Result<Process, LoadError> {
         let delta = self.tables.attach();
         let mut p = Process::new_attached(opts, delta)?;
-        p.load_all(self.modules.as_ref().clone())?;
+        p.load_all(self.modules.iter().cloned())?;
         Ok(p)
     }
 
@@ -135,7 +137,7 @@ impl SharedImage {
     }
 
     /// The immutable module set (in load order).
-    pub fn modules(&self) -> &[Module] {
+    pub fn modules(&self) -> &[Arc<Module>] {
         &self.modules
     }
 }

@@ -852,6 +852,27 @@ mod tests {
     }
 
     #[test]
+    fn attached_processes_load_the_image_modules_themselves() {
+        let modules = vec![
+            synth::syscall_module(),
+            compile("libms", stdlib::LIBMS_SRC),
+            compile("start", stdlib::START_SRC),
+            compile("prog", "int main(void) { return 7; }"),
+        ];
+        let image = SharedImage::build(modules, ProcessOptions::default()).expect("image builds");
+        for _ in 0..2 {
+            let mut p = image.attach().expect("attach");
+            let loaded: Vec<_> =
+                p.loaded_modules().filter(|m| !m.name.starts_with("__plt_")).collect();
+            assert_eq!(loaded.len(), image.modules().len());
+            for (m, shared) in loaded.into_iter().zip(image.modules()) {
+                assert!(std::sync::Arc::ptr_eq(m, shared), "{} was copied", m.name);
+            }
+            assert_eq!(p.run("__start").unwrap().outcome, Outcome::Exit { code: 7 });
+        }
+    }
+
+    #[test]
     fn step_limit_terminates_infinite_loops() {
         let mut p = Process::new(ProcessOptions { max_steps: 10_000, ..Default::default() })
             .expect("valid layout");

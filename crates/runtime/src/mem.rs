@@ -8,10 +8,11 @@
 
 use core::cell::Cell;
 use core::fmt;
+use core::ops::Range;
 use std::sync::Arc;
 
-/// Bytes per snapshot page: the unit [`Sandbox::snapshot`] compares,
-/// copies, hashes and shares.
+/// Bytes per snapshot page: the unit a dirty bit covers and
+/// [`Sandbox::snapshot`] compares, copies, hashes and shares.
 const PAGE_SIZE: usize = 4096;
 
 /// Region permissions.
@@ -106,9 +107,19 @@ pub struct Sandbox {
     /// costing one full scan — but never wrong.
     data_hint: Cell<usize>,
     /// The pages of the latest snapshot or restore, one per `PAGE_SIZE`
-    /// chunk of `bytes` (the last may be shorter). The next snapshot
-    /// copies only the live pages that differ from these.
+    /// chunk of `bytes` (the last may be shorter).
     base: Vec<Page>,
+    /// One bit per page of `bytes`, set by every writer that may have
+    /// changed the page since the latest snapshot or restore. A clean
+    /// page's bytes equal its `base` page, so the next snapshot looks at
+    /// dirty pages only. [`Sandbox::raw_mut`] also sets the bits past the
+    /// last page.
+    dirty: Vec<u64>,
+    /// The write window: stores that fall inside it skip the region
+    /// check and the marking. It lies inside one dirty page and one `Rw`
+    /// region, or is empty; every `map`, `protect`, `snapshot` and
+    /// `restore` empties it.
+    window: Range<u64>,
 }
 
 impl Sandbox {
@@ -123,7 +134,9 @@ impl Sandbox {
             regions: Vec::new(),
             generation: 0,
             data_hint: Cell::new(usize::MAX),
+            dirty: vec![0; base.len().div_ceil(64)],
             base,
+            window: 0..0,
         }
     }
 
@@ -154,12 +167,15 @@ impl Sandbox {
         }
         self.regions.push(Region { start, end, perm });
         self.generation += 1;
+        self.window = 0..0;
         Ok(())
     }
 
     /// Changes the permission of an exactly matching region, enforcing
     /// W^X (this is the `mprotect` interposition check of §7 — a region
-    /// can never become writable and executable).
+    /// can never become writable and executable). It closes the write
+    /// window, which may lie in the region: the loader patches code with
+    /// `write8` before it flips the code to `Rx`.
     ///
     /// # Errors
     ///
@@ -172,6 +188,7 @@ impl Sandbox {
             .ok_or(MemFault::Unmapped { addr: start })?;
         r.perm = perm;
         self.generation += 1;
+        self.window = 0..0;
         Ok(())
     }
 
@@ -198,17 +215,45 @@ impl Sandbox {
         Some(self.regions[idx])
     }
 
+    /// The region that holds all of `[addr, addr + len)`.
     #[inline]
-    fn check(&self, addr: u64, len: u64, write: bool) -> Result<(), MemFault> {
+    fn check(&self, addr: u64, len: u64) -> Result<Region, MemFault> {
         let end = addr.checked_add(len).ok_or(MemFault::Unmapped { addr })?;
         let r = self.find_region(addr, &self.data_hint).ok_or(MemFault::Unmapped { addr })?;
         if end > r.end {
             return Err(MemFault::Unmapped { addr: r.end });
         }
-        if write && !r.perm.writable() {
+        Ok(r)
+    }
+
+    /// Whether the write window holds all of `[addr, addr + len)`.
+    #[inline]
+    fn in_window(&self, addr: u64, len: u64) -> bool {
+        self.window.start <= addr && addr < self.window.end.saturating_sub(len - 1)
+    }
+
+    /// The store slow path, for a store outside the write window: checks
+    /// that one writable region holds `[addr, addr + len)`, marks the
+    /// page or pages it touches dirty, and opens the window over the
+    /// part of `addr`'s page that lies in the region.
+    #[cold]
+    #[inline(never)]
+    fn open_window(&mut self, addr: u64, len: u64) -> Result<(), MemFault> {
+        let r = self.check(addr, len)?;
+        if !r.perm.writable() {
             return Err(MemFault::WriteProtected { addr });
         }
+        self.mark(addr as usize..(addr + len) as usize);
+        let page = addr & !(PAGE_SIZE as u64 - 1);
+        self.window = r.start.max(page)..r.end.min(page + PAGE_SIZE as u64);
         Ok(())
+    }
+
+    /// Marks dirty every page that `bytes` touches.
+    fn mark(&mut self, bytes: Range<usize>) {
+        for p in bytes.start / PAGE_SIZE..bytes.end.div_ceil(PAGE_SIZE) {
+            self.dirty[p / 64] |= 1 << (p % 64);
+        }
     }
 
     /// Reads one byte.
@@ -218,7 +263,7 @@ impl Sandbox {
     /// Returns a fault on unmapped access.
     #[inline]
     pub fn read8(&self, addr: u64) -> Result<u8, MemFault> {
-        self.check(addr, 1, false)?;
+        self.check(addr, 1)?;
         Ok(self.bytes[addr as usize])
     }
 
@@ -229,7 +274,7 @@ impl Sandbox {
     /// Returns a fault on unmapped access.
     #[inline]
     pub fn read64(&self, addr: u64) -> Result<u64, MemFault> {
-        self.check(addr, 8, false)?;
+        self.check(addr, 8)?;
         let a = addr as usize;
         Ok(u64::from_le_bytes(self.bytes[a..a + 8].try_into().expect("8 bytes")))
     }
@@ -241,7 +286,9 @@ impl Sandbox {
     /// Returns a fault on unmapped or protected access.
     #[inline]
     pub fn write8(&mut self, addr: u64, v: u8) -> Result<(), MemFault> {
-        self.check(addr, 1, true)?;
+        if !self.in_window(addr, 1) {
+            self.open_window(addr, 1)?;
+        }
         self.bytes[addr as usize] = v;
         Ok(())
     }
@@ -253,7 +300,9 @@ impl Sandbox {
     /// Returns a fault on unmapped or protected access.
     #[inline]
     pub fn write64(&mut self, addr: u64, v: u64) -> Result<(), MemFault> {
-        self.check(addr, 8, true)?;
+        if !self.in_window(addr, 8) {
+            self.open_window(addr, 8)?;
+        }
         let a = addr as usize;
         self.bytes[a..a + 8].copy_from_slice(&v.to_le_bytes());
         Ok(())
@@ -280,6 +329,7 @@ impl Sandbox {
             return Err(MemFault::OutOfMemory);
         }
         self.bytes[addr as usize..end].copy_from_slice(bytes);
+        self.mark(addr as usize..end);
         self.generation += 1;
         Ok(())
     }
@@ -310,23 +360,32 @@ impl Sandbox {
     /// transactional operations (a dynamic load that may have to be
     /// undone).
     ///
-    /// Only the pages whose bytes differ from the latest snapshot or
-    /// restore are copied and hashed; every other page is shared with
-    /// it. Comparing at capture, rather than tracking stores, keeps
-    /// `write8`/`write64` and [`Sandbox::raw_mut`] free of bookkeeping.
+    /// Only dirty pages are compared with the latest snapshot or
+    /// restore, and copied and hashed if they differ; every other page
+    /// is shared with it. Every page is clean afterwards.
     pub fn snapshot(&mut self) -> SandboxSnapshot {
-        for (page, live) in self.base.iter_mut().zip(self.bytes.chunks(PAGE_SIZE)) {
-            if page.bytes() != live {
-                *page = Page::copy(live);
+        self.window = 0..0;
+        for (w, word) in self.dirty.iter_mut().enumerate() {
+            let mut bits = core::mem::take(word);
+            while bits != 0 {
+                let p = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                // `raw_mut` marks the bits past the last page too.
+                let Some(page) = self.base.get_mut(p) else { break };
+                let live = &self.bytes[p * PAGE_SIZE..][..page.bytes().len()];
+                if page.bytes() != live {
+                    *page = Page::copy(live);
+                }
             }
         }
         SandboxSnapshot { pages: self.base.clone(), regions: self.regions.clone() }
     }
 
     /// Restores a [`Sandbox::snapshot`], discarding every mapping and
-    /// byte written since it was taken. Only pages whose live bytes
-    /// differ from the snapshot's are written back, and the snapshot's
-    /// pages become the base of the next one.
+    /// byte written since it was taken. Every page is compared, since the
+    /// snapshot need not be the latest one; only pages whose live bytes
+    /// differ from the snapshot's are written back. The snapshot's pages
+    /// become the base of the next one, and every page is clean.
     ///
     /// The generation counter is *not* restored: it keeps counting
     /// forward, so predecode caches built against the discarded state can
@@ -346,6 +405,8 @@ impl Sandbox {
         self.regions.clone_from(&snap.regions);
         self.generation += 1;
         self.data_hint.set(usize::MAX);
+        self.dirty.fill(0);
+        self.window = 0..0;
     }
 
     /// Raw view of the backing store (used by the attacker thread in the
@@ -353,8 +414,10 @@ impl Sandbox {
     /// any two instructions", §4).
     pub fn raw_mut(&mut self) -> &mut [u8] {
         // The caller may rewrite any byte, executable ones included, so
-        // every cached decoding is suspect afterwards.
+        // every cached decoding is suspect afterwards, and every page is
+        // dirty.
         self.generation += 1;
+        self.dirty.fill(!0);
         &mut self.bytes
     }
 
@@ -375,14 +438,15 @@ enum Page {
     /// Bytes copied by a snapshot.
     Copied {
         bytes: Arc<[u8]>,
-        /// FNV-1a of `bytes`, computed once when the page was copied.
+        /// [`fnv1a_words`] of `bytes`, computed once when the page was
+        /// copied.
         digest: u64,
     },
 }
 
 impl Page {
     fn copy(bytes: &[u8]) -> Self {
-        Page::Copied { digest: fnv1a(FNV_OFFSET, bytes), bytes: bytes.into() }
+        Page::Copied { digest: fnv1a_words(bytes), bytes: bytes.into() }
     }
 
     fn bytes(&self) -> &[u8] {
@@ -392,12 +456,12 @@ impl Page {
         }
     }
 
-    /// The FNV-1a digest of the page's bytes: cached for a copied page,
-    /// and fixed by the length for a zero page.
+    /// The digest of the page's bytes: cached for a copied page, and
+    /// fixed by the length for a zero page.
     fn digest(&self) -> u64 {
         match self {
             Page::Zero { len: PAGE_SIZE } => ZERO_PAGE_DIGEST,
-            Page::Zero { len } => fnv1a(FNV_OFFSET, &ZERO_PAGE[..*len]),
+            Page::Zero { len } => fnv1a_words(&ZERO_PAGE[..*len]),
             Page::Copied { digest, .. } => *digest,
         }
     }
@@ -408,14 +472,22 @@ static ZERO_PAGE: [u8; PAGE_SIZE] = [0; PAGE_SIZE];
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-const ZERO_PAGE_DIGEST: u64 = fnv1a(FNV_OFFSET, &[0; PAGE_SIZE]);
+const ZERO_PAGE_DIGEST: u64 = fnv1a_words(&[0; PAGE_SIZE]);
 
-/// Continues the FNV-1a hash `h` over `bytes`.
-const fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+/// FNV-1a over `bytes` taken as little-endian 64-bit words, one [`mix`]
+/// step per word; a tail shorter than a word is zero-padded.
+const fn fnv1a_words(bytes: &[u8]) -> u64 {
+    let (words, tail) = bytes.as_chunks::<8>();
+    let mut h = FNV_OFFSET;
     let mut i = 0;
-    while i < bytes.len() {
-        h = mix(h, bytes[i] as u64);
+    while i < words.len() {
+        h = mix(h, u64::from_le_bytes(words[i]));
         i += 1;
+    }
+    if !tail.is_empty() {
+        let mut word = [0; 8];
+        word.split_at_mut(tail.len()).0.copy_from_slice(tail);
+        h = mix(h, u64::from_le_bytes(word));
     }
     h
 }
@@ -438,18 +510,19 @@ pub struct SandboxSnapshot {
 impl SandboxSnapshot {
     /// A content digest for integrity-checking stored snapshots,
     /// recomputed from the page bytes. It is a function of the bytes and
-    /// the region table alone: each page's index and FNV-1a digest, then
-    /// each region's start, end and permission, folded in as 64-bit
-    /// words, one FNV-1a step per word. A checkpoint records the same
-    /// digest at capture, folded from the page digests cached then, and
-    /// verifies this one against it before restoring, so a corrupted
-    /// checkpoint is detected instead of silently resuming from garbage.
-    /// Only pages that hold copied bytes are hashed again; a zero page
-    /// stores none.
+    /// the region table alone: each page's index and digest, then each
+    /// region's start, end and permission, folded in as 64-bit words, one
+    /// FNV-1a step per word. A page's digest is the same step over its
+    /// bytes taken as little-endian 64-bit words. A checkpoint records
+    /// the same digest at capture, folded from the page digests cached
+    /// then, and verifies this one against it before restoring, so a
+    /// corrupted checkpoint is detected instead of silently resuming from
+    /// garbage. Only pages that hold copied bytes are hashed again; a
+    /// zero page stores none.
     pub fn digest(&self) -> u64 {
         self.fold(self.pages.iter().map(|p| match p {
             Page::Zero { .. } => p.digest(),
-            Page::Copied { bytes, .. } => fnv1a(FNV_OFFSET, bytes),
+            Page::Copied { bytes, .. } => fnv1a_words(bytes),
         }))
     }
 
@@ -635,6 +708,46 @@ mod tests {
         }
     }
 
+    #[test]
+    fn protect_closes_the_write_window() {
+        let mut m = Sandbox::new(2 * PAGE_SIZE);
+        m.map(0, 0x100, Perm::Rw).unwrap();
+        // The loader's order: patch code with stores, then flip it to Rx.
+        m.write8(0x10, 1).unwrap();
+        m.write64(0x20, 2).unwrap();
+        assert!(m.in_window(0x10, 8), "the first store opened the window over its page");
+        m.protect(0, Perm::Rx).unwrap();
+        assert_eq!(m.write8(0x10, 9), Err(MemFault::WriteProtected { addr: 0x10 }));
+        assert_eq!(m.write64(0x20, 9), Err(MemFault::WriteProtected { addr: 0x20 }));
+        assert_eq!((m.read8(0x10), m.read64(0x20)), (Ok(1), Ok(2)));
+    }
+
+    #[test]
+    fn a_snapshot_copies_exactly_the_pages_written_since_the_last() {
+        const PAGES: usize = 8;
+        let mut m = Sandbox::new(PAGES * PAGE_SIZE);
+        m.map(0, (PAGES * PAGE_SIZE) as u64, Perm::Rw).unwrap();
+        m.load_image(0, &[0x5a; PAGES * PAGE_SIZE]).unwrap();
+        let before = m.snapshot();
+        let page = |p: u64| p * PAGE_SIZE as u64;
+        m.write8(page(1) + 7, 1).unwrap();
+        m.write64(page(3) + 0x100, 2).unwrap();
+        m.write64(page(6) - 4, 3).unwrap(); // straddles pages 5 and 6
+        let written = [1, 3, 5, 6];
+        let dirty: Vec<usize> =
+            (0..PAGES).filter(|p| m.dirty[p / 64] >> (p % 64) & 1 == 1).collect();
+        assert_eq!(dirty, written);
+        let after = m.snapshot();
+        for (p, pages) in before.pages.iter().zip(&after.pages).enumerate() {
+            let (Page::Copied { bytes: old, .. }, Page::Copied { bytes: new, .. }) = pages else {
+                panic!("page {p} holds bytes");
+            };
+            assert_eq!(Arc::ptr_eq(old, new), !written.contains(&p), "page {p}");
+            assert_eq!(**new, m.raw()[p * PAGE_SIZE..][..PAGE_SIZE]);
+        }
+        assert!(m.dirty.iter().all(|&w| w == 0), "a snapshot leaves every page clean");
+    }
+
     /// A flat reference model of a [`Sandbox`]: its bytes and regions.
     #[derive(Clone)]
     struct Model {
@@ -656,7 +769,7 @@ mod tests {
         fn digest(&self) -> u64 {
             let mut h = FNV_OFFSET;
             for (i, page) in self.bytes.chunks(PAGE_SIZE).enumerate() {
-                h = mix(mix(h, i as u64), fnv1a(FNV_OFFSET, page));
+                h = mix(mix(h, i as u64), fnv1a_words(page));
             }
             for r in &self.regions {
                 let perm = match r.perm {
@@ -677,7 +790,7 @@ mod tests {
         #[test]
         fn snapshots_restore_a_flat_model(
             ops in proptest::collection::vec(
-                (0u8..9, 0..MODEL_SIZE, 0u64..0x2000, any::<u64>()),
+                (0u8..10, 0..MODEL_SIZE, 0u64..0x2000, any::<u64>()),
                 1..80,
             )
         ) {
@@ -738,6 +851,22 @@ mod tests {
                         }
                     }
                     6 => {
+                        // Mostly an existing region's start, so most calls
+                        // land, and `Rw` half the time, so writes keep
+                        // landing too.
+                        let start = if b % 4 == 0 {
+                            a
+                        } else {
+                            model.regions[a as usize % model.regions.len()].start
+                        };
+                        let perm = [Perm::R, Perm::Rw, Perm::Rx, Perm::Rw][v as usize % 4];
+                        let r = model.regions.iter_mut().find(|r| r.start == start);
+                        prop_assert_eq!(m.protect(start, perm).is_ok(), r.is_some());
+                        if let Some(r) = r {
+                            r.perm = perm;
+                        }
+                    }
+                    7 => {
                         let snap = m.snapshot();
                         prop_assert_eq!(snap.capture_digest(), snap.digest());
                         prop_assert_eq!(snap.digest(), model.digest());

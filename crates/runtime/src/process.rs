@@ -907,6 +907,12 @@ impl Process {
             && self.modules.iter().zip(&cp.modules).all(|(a, b)| Arc::ptr_eq(&a.module, &b.module))
     }
 
+    /// The loaded modules, PLT stubs included, in load order.
+    #[cfg(test)]
+    pub(crate) fn loaded_modules(&self) -> impl Iterator<Item = &Arc<Module>> {
+        self.modules.iter().map(|lm| &lm.module)
+    }
+
     fn push_checkpoint(&mut self, cp: Checkpoint) {
         if self.checkpoints.len() == Self::MAX_CHECKPOINTS {
             self.checkpoints.remove(0);
@@ -1272,7 +1278,7 @@ impl Process {
     /// type clashes.
     pub fn load(&mut self, module: Module) -> Result<(), LoadError> {
         let tx = self.begin_load();
-        let result = self.load_no_update(module).and_then(|()| self.finish_load());
+        let result = self.load_no_update(Arc::new(module)).and_then(|()| self.finish_load());
         if let Err(e) = result {
             self.rollback_load(tx);
             return Err(e);
@@ -1282,15 +1288,19 @@ impl Process {
 
     /// Loads several modules, then installs the CFG once. Transactional
     /// as a unit: a failure anywhere rolls back every module in the batch.
+    /// Modules passed as `Arc<Module>` are loaded without a copy.
     ///
     /// # Errors
     ///
     /// See [`Process::load`].
-    pub fn load_all(&mut self, modules: Vec<Module>) -> Result<(), LoadError> {
+    pub fn load_all(
+        &mut self,
+        modules: impl IntoIterator<Item = impl Into<Arc<Module>>>,
+    ) -> Result<(), LoadError> {
         let tx = self.begin_load();
         let result = modules
             .into_iter()
-            .try_for_each(|m| self.load_no_update(m))
+            .try_for_each(|m| self.load_no_update(m.into()))
             .and_then(|()| self.finish_load());
         if let Err(e) = result {
             self.rollback_load(tx);
@@ -1346,7 +1356,7 @@ impl Process {
     pub fn load_untrusted(&mut self, module: Module) -> Result<(), LoadError> {
         let tx = self.begin_load();
         let result = self
-            .load_no_update(module)
+            .load_no_update(Arc::new(module))
             .and_then(|()| self.verify_last_module())
             .and_then(|()| self.finish_load());
         if let Err(e) = result {
@@ -1429,7 +1439,7 @@ impl Process {
         Ok(base)
     }
 
-    fn load_no_update(&mut self, module: Module) -> Result<(), LoadError> {
+    fn load_no_update(&mut self, module: Arc<Module>) -> Result<(), LoadError> {
         // The union of auxiliary type information must be consistent
         // before any state changes (paper §6: merging is a union).
         self.env
@@ -1459,7 +1469,6 @@ impl Process {
         }
 
         let module_idx = self.modules.len();
-        let module = Arc::new(module);
         self.modules.push(LoadedModule { module: Arc::clone(&module), code_base, data_base });
 
         // Assign global Bary slots and patch the BaryLoad immediates

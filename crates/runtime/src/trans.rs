@@ -17,7 +17,7 @@
 //!   chained edge?) ends the block early with `vm.pc` already correct.
 //! - **The Fig. 4 check transaction** is recognized as a unit
 //!   (`BaryLoad; TaryLoad; Cmp; Jcc Ne; [Nops]; CallReg|JmpReg`) and
-//!   specialized per indirect-branch site into a [`TxCheckOp`]: the
+//!   specialized per indirect-branch site into a `TxCheckOp`: the
 //!   Bary slot, the success-path branch address, and the expected Bary
 //!   word are baked in. The fast path performs one atomic Bary read and
 //!   one atomic Tary read against the *live* shared tables — exactly
@@ -48,7 +48,7 @@
 //!
 //! 1. **Per-op equivalence**: straight-line ops are verbatim copies of
 //!    the interpreter arms; chained/terminal ops call the real
-//!    [`Vm::execute`]. The TxCheck fast path fires only when
+//!    `Vm::execute`. The TxCheck fast path fires only when
 //!    `bary_word == tary_word`, in which case the interpreted sequence
 //!    provably takes the success path with exactly the replayed
 //!    register/flag/statistic effects (`Cmp` equal ⇒ `flags = 0`,

@@ -2,10 +2,9 @@
 //!
 //! The paper's runtime (§7) trusts the updater and halts the guest on any
 //! CFI violation. This crate adds the layer a production deployment wraps
-//! around that runtime: a [`Supervisor`] drives a
-//! [`Process`](mcfi_runtime::Process) under a declarative
-//! [`RecoveryPolicy`] and turns three classes of partial failure into
-//! forward progress instead of a dead process:
+//! around that runtime: a [`Supervisor`] drives a [`Process`] under a
+//! declarative [`RecoveryPolicy`] and turns three classes of partial
+//! failure into forward progress instead of a dead process:
 //!
 //! * **Checkpoint/restore** — the supervisor takes a baseline checkpoint
 //!   before every run (plus periodic in-run checkpoints when
