@@ -13,7 +13,7 @@
 use std::time::Instant;
 
 use mcfi_codegen::{compile_source, CodegenOptions};
-use mcfi_runtime::{stdlib, synth, Process, ProcessOptions, RunResult};
+use mcfi_runtime::{stdlib, synth, FetchMode, Process, ProcessOptions, RunResult};
 
 struct Workload {
     name: &'static str,
@@ -53,10 +53,10 @@ const WORKLOADS: &[Workload] = &[
     },
 ];
 
-fn boot(w: &Workload, predecode: bool) -> Process {
+fn boot(w: &Workload, fetch: FetchMode) -> Process {
     let copts = CodegenOptions::default();
     let mut p =
-        Process::new(ProcessOptions { predecode, ..Default::default() }).expect("valid layout");
+        Process::new(ProcessOptions { fetch, ..Default::default() }).expect("valid layout");
     let stubs = synth::syscall_module();
     let libms = compile_source("libms", stdlib::LIBMS_SRC, &copts).expect("libms compiles");
     let start = compile_source("start", stdlib::START_SRC, &copts).expect("start compiles");
@@ -69,8 +69,8 @@ fn boot(w: &Workload, predecode: bool) -> Process {
     p
 }
 
-fn run_once(w: &Workload, predecode: bool) -> (RunResult, f64) {
-    let mut p = boot(w, predecode);
+fn run_once(w: &Workload, fetch: FetchMode) -> (RunResult, f64) {
+    let mut p = boot(w, fetch);
     let t = Instant::now();
     let r = p.run("__start").unwrap_or_else(|e| panic!("{}: {e}", w.name));
     (r, t.elapsed().as_secs_f64())
@@ -85,10 +85,10 @@ fn measure(w: &Workload, reps: u32) -> ((RunResult, f64), (RunResult, f64)) {
     let mut res_c = None;
     let mut res_u = None;
     for _ in 0..reps {
-        let (rc, tc) = run_once(w, true);
+        let (rc, tc) = run_once(w, FetchMode::Predecode);
         best_c = best_c.min(tc);
         res_c = Some(rc);
-        let (ru, tu) = run_once(w, false);
+        let (ru, tu) = run_once(w, FetchMode::Decode);
         best_u = best_u.min(tu);
         res_u = Some(ru);
     }

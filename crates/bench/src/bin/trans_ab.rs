@@ -1,7 +1,7 @@
 //! A/B benchmark for the baseline-compiled execution tier.
 //!
 //! Runs every Fig. 5 workload twice — once through the translated tier
-//! (`translate: true`, superblocks with per-site-specialized TxChecks)
+//! (`FetchMode::Translate`, superblocks with per-site-specialized TxChecks)
 //! and once on the predecoded interpreter it falls back to — and
 //! reports host-clock steps/second for each, the speedup, and the
 //! tier's counters. Both arms fetch through the predecode cache, so the
@@ -16,7 +16,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use mcfi::{BuildOptions, ProcessOptions, RunResult, System};
+use mcfi::{BuildOptions, FetchMode, ProcessOptions, RunResult, System};
 use mcfi_workloads::{source, Variant, BENCHMARKS};
 
 /// Per-run step ceiling, matching the differential suite's budget.
@@ -25,9 +25,9 @@ const STEP_BUDGET: u64 = 12_000_000;
 /// Interleaved repetitions per arm; best-of wall clock is reported.
 const REPS: u32 = 3;
 
-fn boot(src: &str, translate: bool) -> System {
+fn boot(src: &str, fetch: FetchMode) -> System {
     let opts = ProcessOptions {
-        translate,
+        fetch,
         max_steps: STEP_BUDGET,
         ..Default::default()
     };
@@ -35,8 +35,8 @@ fn boot(src: &str, translate: bool) -> System {
         .unwrap_or_else(|e| panic!("workload boots: {e}"))
 }
 
-fn run_once(src: &str, translate: bool) -> (RunResult, f64) {
-    let mut sys = boot(src, translate);
+fn run_once(src: &str, fetch: FetchMode) -> (RunResult, f64) {
+    let mut sys = boot(src, fetch);
     let t = Instant::now();
     let r = sys.process().run("__start").unwrap_or_else(|e| panic!("workload runs: {e}"));
     (r, t.elapsed().as_secs_f64())
@@ -50,10 +50,10 @@ fn measure(src: &str) -> ((RunResult, f64), (RunResult, f64)) {
     let mut res_t = None;
     let mut res_i = None;
     for _ in 0..REPS {
-        let (rt, tt) = run_once(src, true);
+        let (rt, tt) = run_once(src, FetchMode::Translate);
         best_t = best_t.min(tt);
         res_t = Some(rt);
-        let (ri, ti) = run_once(src, false);
+        let (ri, ti) = run_once(src, FetchMode::Predecode);
         best_i = best_i.min(ti);
         res_i = Some(ri);
     }

@@ -55,9 +55,9 @@ pub use mcfi_chaos::{ChaosInjector, FaultPlan, FaultPoint};
 pub use mcfi_codegen::{CodegenOptions, Policy};
 pub use mcfi_module::{AdmissionError, DecodeLimits, Module, WireError, WireErrorKind};
 pub use mcfi_runtime::{
-    Checkpoint, FaultKind, LoadError, Outcome, Process, ProcessOptions, QuarantineConfig,
-    QuarantineReason, QuarantineStatus, RestoreError, RunResult, SharedImage, ViolationLog,
-    ViolationPolicy, ViolationRecord,
+    Checkpoint, FaultKind, FetchMode, LoadError, Outcome, Process, ProcessOptions,
+    QuarantineConfig, QuarantineReason, QuarantineStatus, RestoreError, RunResult, SharedImage,
+    ViolationLog, ViolationPolicy, ViolationRecord,
 };
 pub use mcfi_chaos::Backoff;
 pub use mcfi_fleet::{
@@ -171,7 +171,7 @@ impl System {
     }
 
     /// Like [`System::boot_modules`], with explicit process options
-    /// (violation policy, step budget, predecode, layout).
+    /// (violation policy, step budget, fetch mode, layout).
     ///
     /// # Errors
     ///

@@ -1,4 +1,5 @@
-//! The predecoded-instruction cache for the SimX64 hot path.
+//! The code cache for the SimX64 hot path: predecoded instructions,
+//! and the translated tier's blocks beside them.
 //!
 //! Uncached, every [`crate::vm::Vm::step`] pays two byte-level taxes: a
 //! linear region scan (`check_exec`) and a full variable-length decode
@@ -11,11 +12,11 @@
 //! visible and refreshed lazily for any pc the sweep did not reach
 //! (e.g. mid-instruction gadget targets).
 //!
-//! This cache is the middle rung of the execution fallback ladder
-//! *translated → `step_cached` → `step`*: when the baseline-compiled
-//! tier ([`crate::trans`]) cannot run a block at `pc` — or has been
-//! deoptimized by a generation bump — execution lands here, and only
-//! runs fully uncached when predecoding is disabled too.
+//! The same per-region segments hold the baseline-compiled tier's block
+//! index ([`crate::trans`]), allocated when the tier first translates in
+//! a segment; translation reads its instructions from the slots. When
+//! the tier cannot run a block at `pc`, execution takes one predecoded
+//! step here ([`crate::vm::Vm::step_cached`]).
 //!
 //! # Invalidation
 //!
@@ -27,8 +28,9 @@
 //! executable bytes (they fault on non-writable regions, and no region
 //! is ever writable and executable), so they leave the generation alone
 //! and the cache survives ordinary data traffic untouched. Every fetch
-//! compares the cache's build generation against the sandbox's; any
-//! mismatch throws the whole table away and rebuilds, so dlopen-style
+//! and every translated dispatch compares the cache's build generation
+//! against the sandbox's; any mismatch throws the whole cache away —
+//! slots and translated blocks alike — and rebuilds, so dlopen-style
 //! loader patches (GOT slot rewrites, Bary-slot immediates) are
 //! re-decoded before they can execute stale.
 //!
@@ -45,9 +47,11 @@
 //!
 //! [`Vm::step`]: crate::vm::Vm::step
 
-use mcfi_machine::{cost_of, decode, decode_sweep, Inst};
+use mcfi_machine::{cost_of, decode, decode_sweep, DecodeError, Inst};
+use mcfi_tables::IdTables;
 
 use crate::mem::Sandbox;
+use crate::trans::{translate, Block};
 use crate::vm::{VmError, VmStats};
 
 /// One predecoded fetch result. `len == 0` marks an empty slot — no
@@ -63,30 +67,82 @@ impl Slot {
     const EMPTY: Slot = Slot { inst: Inst::Hlt, len: 0, cost: 0 };
 }
 
+/// Block-index sentinel: pc not translated yet.
+const UNVISITED: u32 = u32::MAX;
+/// Block-index sentinel: translation at this pc produced nothing (the pc
+/// starts at a `Hlt` or undecodable bytes); permanently interpreted.
+const UNTRANSLATABLE: u32 = u32::MAX - 1;
+
 /// The decoded view of one executable region, indexed by `pc - start`.
-struct Segment {
+pub(crate) struct Segment {
     start: u64,
     end: u64,
     slots: Vec<Slot>,
+    /// The translated tier's block index, `blocks[pc - start]`: an index
+    /// into [`PredecodeCache::blocks`] or a sentinel. Empty until the
+    /// tier first translates in this segment.
+    blocks: Vec<u32>,
 }
 
 impl Segment {
     fn contains(&self, pc: u64) -> bool {
         self.start <= pc && pc < self.end
     }
+
+    /// Decodes the instruction at `pc` (inside the segment) live and
+    /// memoises it, unless its bytes spill past the segment: the tail
+    /// might live in writable memory, whose mutation would not bump the
+    /// generation, so such a pc stays a permanent (correct, just slow)
+    /// miss.
+    fn decode_into_slot(
+        &mut self,
+        mem: &Sandbox,
+        pc: u64,
+    ) -> Result<(Inst, u64, u64), DecodeError> {
+        let (inst, len) = decode(mem.raw(), pc as usize)?;
+        let cost = cost_of(&inst);
+        if pc + len as u64 <= self.end {
+            self.slots[(pc - self.start) as usize] =
+                Slot { inst, len: len as u8, cost: cost as u32 };
+        }
+        Ok((inst, len as u64, cost))
+    }
+
+    /// The `(inst, len, cost)` at `pc` if the instruction lies — bytes
+    /// included — inside the segment. Fills an empty slot the way a
+    /// fetch miss does, but counts nothing: translation reads code
+    /// through here.
+    pub(crate) fn inst_within(&mut self, mem: &Sandbox, pc: u64) -> Option<(Inst, u64, u64)> {
+        if !self.contains(pc) {
+            return None;
+        }
+        let slot = self.slots[(pc - self.start) as usize];
+        if slot.len != 0 {
+            return Some((slot.inst, u64::from(slot.len), u64::from(slot.cost)));
+        }
+        let (inst, len, cost) = self.decode_into_slot(mem, pc).ok()?;
+        (pc + len <= self.end).then_some((inst, len, cost))
+    }
 }
 
-/// A per-process predecoded-instruction cache (see the module docs).
+/// A per-process code cache: predecoded slots for every fetch path and
+/// the translated tier's blocks (see the module docs).
 pub struct PredecodeCache {
     /// The sandbox generation the segments were built against.
     /// `u64::MAX` is unreachable (generations start at 0 and increment),
-    /// so a fresh cache always rebuilds on first fetch.
+    /// so a fresh cache always rebuilds on first use.
     generation: u64,
     segments: Vec<Segment>,
     /// Index of the segment that served the last hit — straight-line
     /// code stays inside one module for long runs, so this check almost
     /// always short-circuits the segment search.
     last_segment: usize,
+    /// The translated tier's blocks, indexed by the segments' block
+    /// indexes.
+    blocks: Vec<Block>,
+    /// Whether live blocks were ever retired — after which new
+    /// translations count as *re*translations.
+    deopted_once: bool,
 }
 
 impl Default for PredecodeCache {
@@ -98,7 +154,13 @@ impl Default for PredecodeCache {
 impl PredecodeCache {
     /// An empty cache; the first fetch populates it.
     pub fn new() -> Self {
-        PredecodeCache { generation: u64::MAX, segments: Vec::new(), last_segment: 0 }
+        PredecodeCache {
+            generation: u64::MAX,
+            segments: Vec::new(),
+            last_segment: 0,
+            blocks: Vec::new(),
+            deopted_once: false,
+        }
     }
 
     /// Fetches the instruction at `pc`, serving from the side-table when
@@ -149,15 +211,11 @@ impl PredecodeCache {
         pc: u64,
         stats: &mut VmStats,
     ) -> Result<(Inst, u64, u64), VmError> {
-        if self.generation != mem.generation() {
-            self.rebuild(mem);
-            stats.icache_invalidations += 1;
-        }
+        self.validate(mem, stats);
         if let Some(idx) = self.segment_index(pc) {
             self.last_segment = idx;
             let seg = &mut self.segments[idx];
-            let off = (pc - seg.start) as usize;
-            let slot = seg.slots[off];
+            let slot = seg.slots[(pc - seg.start) as usize];
             if slot.len != 0 {
                 stats.icache_hits += 1;
                 return Ok((slot.inst, u64::from(slot.len), u64::from(slot.cost)));
@@ -167,12 +225,7 @@ impl PredecodeCache {
             // generation, so the execute check is already answered; decode
             // live and memoise for the next visit.
             stats.icache_misses += 1;
-            let (inst, len) = decode(mem.raw(), pc as usize)?;
-            let cost = cost_of(&inst);
-            if pc + len as u64 <= seg.end {
-                seg.slots[off] = Slot { inst, len: len as u8, cost: cost as u32 };
-            }
-            return Ok((inst, len as u64, cost));
+            return Ok(seg.decode_into_slot(mem, pc)?);
         }
         // Outside every executable region: defer to the real checks so the
         // caller sees the exact uncached fault (Unmapped/ExecProtected).
@@ -180,6 +233,70 @@ impl PredecodeCache {
         mem.check_exec(pc)?;
         let (inst, len) = decode(mem.raw(), pc as usize)?;
         Ok((inst, len as u64, cost_of(&inst)))
+    }
+
+    /// The one invalidation rule for slots and blocks alike: a sandbox
+    /// generation change rebuilds every segment (counted in
+    /// `icache_invalidations`) and retires every translated block.
+    pub(crate) fn validate(&mut self, mem: &Sandbox, stats: &mut VmStats) {
+        if self.generation != mem.generation() {
+            self.retire_blocks(stats);
+            self.rebuild(mem);
+            stats.icache_invalidations += 1;
+        }
+    }
+
+    /// Retires every translated block, counting a deopt if any were
+    /// live; the slots stay. The `trans-invalidate` chaos point calls
+    /// this mid-run.
+    pub(crate) fn retire_blocks(&mut self, stats: &mut VmStats) {
+        if self.blocks.is_empty() {
+            return;
+        }
+        stats.trans_deopts += 1;
+        self.deopted_once = true;
+        self.blocks.clear();
+        for seg in &mut self.segments {
+            seg.blocks.clear();
+        }
+    }
+
+    /// The translated block at `pc`, translating it on the first visit
+    /// (see [`crate::trans`]). `None` when `pc` lies outside every
+    /// executable region or nothing there translates. The caller has
+    /// already run [`PredecodeCache::validate`].
+    pub(crate) fn block(
+        &mut self,
+        mem: &Sandbox,
+        tables: &IdTables,
+        pc: u64,
+        stats: &mut VmStats,
+    ) -> Option<&Block> {
+        let idx = self.segment_index(pc)?;
+        self.last_segment = idx;
+        let seg = &mut self.segments[idx];
+        if seg.blocks.is_empty() {
+            seg.blocks.resize(seg.slots.len(), UNVISITED);
+        }
+        let off = (pc - seg.start) as usize;
+        if seg.blocks[off] == UNVISITED {
+            let translated = translate(seg, mem, tables, pc);
+            seg.blocks[off] = match translated {
+                Some(block) => {
+                    stats.trans_translations += 1;
+                    if self.deopted_once {
+                        stats.trans_retranslations += 1;
+                    }
+                    self.blocks.push(block);
+                    (self.blocks.len() - 1) as u32
+                }
+                None => UNTRANSLATABLE,
+            };
+        }
+        match seg.blocks[off] {
+            UNTRANSLATABLE => None,
+            bi => Some(&self.blocks[bi as usize]),
+        }
     }
 
     fn segment_index(&self, pc: u64) -> Option<usize> {
@@ -201,16 +318,13 @@ impl PredecodeCache {
             let region_len = (r.end - r.start) as usize;
             let mut slots = vec![Slot::EMPTY; region_len];
             for (at, inst, len) in decode_sweep(mem.raw(), r.start as usize, r.end as usize) {
-                // Never memoise an instruction whose bytes spill past the
-                // region: the tail might live in writable memory, whose
-                // mutation would not bump the generation. Such a pc stays
-                // a permanent (correct, just slow) miss.
+                // The spill rule of `Segment::decode_into_slot`.
                 if at + len <= r.end as usize {
                     slots[at - r.start as usize] =
                         Slot { inst, len: len as u8, cost: cost_of(&inst) as u32 };
                 }
             }
-            self.segments.push(Segment { start: r.start, end: r.end, slots });
+            self.segments.push(Segment { start: r.start, end: r.end, slots, blocks: Vec::new() });
         }
     }
 }

@@ -15,11 +15,10 @@
 //! [`mcfi_tables::IdTablesAt::publication_epoch`] notices a batched
 //! retarget the moment it commits.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use mcfi_module::Module;
-use mcfi_tables::{Id, SharedTables, TablesConfig, UpdateStats};
+use mcfi_tables::{SharedTables, TablesConfig, UpdateStats};
 
 use crate::process::{LoadError, Process, ProcessOptions};
 
@@ -46,7 +45,7 @@ impl std::fmt::Debug for SharedImage {
 
 impl SharedImage {
     /// Builds an image from a module set (in load order): boots a
-    /// throwaway prototype process to prove the set loads and to derive
+    /// throwaway prototype process to prove the set loads, asks it for
     /// its control-flow policy, then publishes that policy into a fresh
     /// shared base with one update transaction.
     ///
@@ -58,22 +57,14 @@ impl SharedImage {
         let modules: Arc<[Arc<Module>]> = modules.into_iter().map(Arc::new).collect();
         let mut proto = Process::new(opts)?;
         proto.load_all(modules.iter().cloned())?;
-        let proto_tables = proto.tables();
         let tables = SharedTables::new(TablesConfig {
             code_size: opts.layout.code_limit as usize,
             bary_slots: opts.bary_capacity,
         });
-        let tary: HashMap<u64, u32> = proto_tables
-            .tary_view()
-            .targets()
-            .map(|(addr, id)| (addr, id.ecn().raw()))
-            .collect();
-        let bary: Vec<Option<u32>> = (0..proto_tables.bary_len())
-            .map(|slot| Id::from_word(proto_tables.bary_word(slot)).map(|id| id.ecn().raw()))
-            .collect();
+        let policy = proto.current_policy();
         tables.base().update(
-            move |addr| tary.get(&addr).copied(),
-            move |slot| bary.get(slot).copied().flatten(),
+            |addr| policy.tary.get(&addr).copied(),
+            |slot| policy.bary.get(slot).map(|b| b.ecn),
         );
         Ok(SharedImage { modules, tables, opts })
     }

@@ -28,12 +28,11 @@ pub mod vm;
 
 pub use icache::PredecodeCache;
 pub use image::SharedImage;
-pub use trans::TransCache;
 pub use mem::SandboxSnapshot;
 pub use process::{
-    Checkpoint, FaultKind, Layout, LoadError, Outcome, Process, ProcessOptions, QuarantineConfig,
-    QuarantineReason, QuarantineStatus, RestoreError, RunResult, ViolationLog, ViolationPolicy,
-    ViolationRecord,
+    Checkpoint, FaultKind, FetchMode, Layout, LoadError, Outcome, Process, ProcessOptions,
+    QuarantineConfig, QuarantineReason, QuarantineStatus, RestoreError, RunResult, ViolationLog,
+    ViolationPolicy, ViolationRecord,
 };
 pub use vm::{Event, Vm, VmError, VmState, VmStats};
 
@@ -485,10 +484,8 @@ mod tests {
         for (name, src) in programs {
             let opts = CodegenOptions::default();
             let cached = boot_full(src, &opts, ProcessOptions::default()).run("__start").unwrap();
-            let uncached =
-                boot_full(src, &opts, ProcessOptions { predecode: false, ..Default::default() })
-                    .run("__start")
-                    .unwrap();
+            let decode = ProcessOptions { fetch: FetchMode::Decode, ..Default::default() };
+            let uncached = boot_full(src, &opts, decode).run("__start").unwrap();
             assert_observably_identical(&cached, &uncached, name);
         }
     }
@@ -508,18 +505,18 @@ mod tests {
                      int r = provided(5);\n\
                      return r;\n\
                    }";
-        let run_mode = |predecode: bool| {
+        let run_mode = |fetch: FetchMode| {
             let lib = compile("libm2", "int provided(int x) { return x + 100; }");
             let mut p = boot_full(
                 src,
                 &CodegenOptions::default(),
-                ProcessOptions { predecode, ..Default::default() },
+                ProcessOptions { fetch, ..Default::default() },
             );
             p.register_library("libm2", lib);
             p.run("__start").unwrap()
         };
-        let cached = run_mode(true);
-        let uncached = run_mode(false);
+        let cached = run_mode(FetchMode::Predecode);
+        let uncached = run_mode(FetchMode::Decode);
         assert_eq!(cached.outcome, Outcome::Exit { code: 105 }, "stdout: {}", cached.stdout);
         assert_observably_identical(&cached, &uncached, "plt-after-dlopen");
         assert!(
@@ -538,17 +535,17 @@ mod tests {
                      while (i < 500) { acc = acc + f(i); i = i + 1; }\n\
                      return acc % 97;\n\
                    }";
-        let run_mode = |predecode: bool| {
+        let run_mode = |fetch: FetchMode| {
             boot_full(
                 src,
                 &CodegenOptions::default(),
-                ProcessOptions { predecode, ..Default::default() },
+                ProcessOptions { fetch, ..Default::default() },
             )
             .run_with_updates("__start", 5_000, 200)
             .unwrap()
         };
-        let cached = run_mode(true);
-        let uncached = run_mode(false);
+        let cached = run_mode(FetchMode::Predecode);
+        let uncached = run_mode(FetchMode::Decode);
         assert!(cached.updates > 0, "the scripted updater must fire");
         assert_observably_identical(&cached, &uncached, "scripted-updates");
     }
@@ -608,17 +605,45 @@ mod tests {
                    return f(3);\n\
                  }",
             ),
+            // Faults in the middle of a translated block: the machine
+            // must stop where the interpreter stops, pc included.
+            (
+                "fault-divide",
+                "int main(void) {\n\
+                   int zero = 0; int acc = 0; int i = 0;\n\
+                   while (i < 100) {\n\
+                     acc = acc + i; if (i == 60) { acc = acc / zero; } i = i + 1;\n\
+                   }\n\
+                   return acc;\n\
+                 }",
+            ),
+            (
+                "fault-code-store",
+                "int target(int x) { return x + 1; }\n\
+                 int main(void) {\n\
+                   void* raw = (void*)&target;\n\
+                   int* code = (int*)raw;\n\
+                   int acc = 0; int i = 0;\n\
+                   while (i < 100) { acc = acc + i; if (i == 60) { *code = acc; } i = i + 1; }\n\
+                   return acc;\n\
+                 }",
+            ),
         ];
         for (name, src) in programs {
             let opts = CodegenOptions::default();
-            let translated =
-                boot_full(src, &opts, ProcessOptions { translate: true, ..Default::default() })
-                    .run("__start")
-                    .unwrap();
+            let translate = ProcessOptions { fetch: FetchMode::Translate, ..Default::default() };
+            let translated = boot_full(src, &opts, translate).run("__start").unwrap();
             let interpreted = boot_full(src, &opts, ProcessOptions::default())
                 .run("__start")
                 .unwrap();
             assert_arch_identical(&translated, &interpreted, name);
+            if name.starts_with("fault") {
+                assert!(
+                    matches!(translated.outcome, Outcome::Fault(_)),
+                    "{name}: the program must fault, got {:?}",
+                    translated.outcome
+                );
+            }
         }
     }
 
@@ -635,17 +660,17 @@ mod tests {
                      while (i < 500) { acc = acc + f(i); i = i + 1; }\n\
                      return acc % 97;\n\
                    }";
-        let run_mode = |translate: bool| {
+        let run_mode = |fetch: FetchMode| {
             boot_full(
                 src,
                 &CodegenOptions::default(),
-                ProcessOptions { translate, ..Default::default() },
+                ProcessOptions { fetch, ..Default::default() },
             )
             .run_with_updates("__start", 5_000, 200)
             .unwrap()
         };
-        let translated = run_mode(true);
-        let interpreted = run_mode(false);
+        let translated = run_mode(FetchMode::Translate);
+        let interpreted = run_mode(FetchMode::Predecode);
         assert!(translated.updates > 0, "the scripted updater must fire");
         assert_arch_identical(&translated, &interpreted, "scripted-updates");
         assert!(
@@ -672,18 +697,18 @@ mod tests {
                      int r = provided(5) + spin(100) - warm;\n\
                      return r % 125;\n\
                    }";
-        let run_mode = |translate: bool| {
+        let run_mode = |fetch: FetchMode| {
             let lib = compile("libm2", "int provided(int x) { return x + 100; }");
             let mut p = boot_full(
                 src,
                 &CodegenOptions::default(),
-                ProcessOptions { translate, ..Default::default() },
+                ProcessOptions { fetch, ..Default::default() },
             );
             p.register_library("libm2", lib);
             p.run("__start").unwrap()
         };
-        let translated = run_mode(true);
-        let interpreted = run_mode(false);
+        let translated = run_mode(FetchMode::Translate);
+        let interpreted = run_mode(FetchMode::Predecode);
         assert_arch_identical(&translated, &interpreted, "dlopen-deopt");
         assert!(
             translated.trans_deopts >= 1,
@@ -711,19 +736,19 @@ mod tests {
                      while (i < 300) { acc = acc + i; i = i + 1; }\n\
                      return acc % 89;\n\
                    }";
-        let run_mode = |translate: bool| {
+        let run_mode = |fetch: FetchMode| {
             let mut p = boot_full(
                 src,
                 &CodegenOptions::default(),
-                ProcessOptions { translate, ..Default::default() },
+                ProcessOptions { fetch, ..Default::default() },
             );
             // Force-deopt on the second translated loop-top: after the
             // first chain has translated blocks, so they are live.
             p.arm_chaos(FaultPlan::new().with(FaultPoint::TransInvalidate, 2, 0));
             p.run("__start").unwrap()
         };
-        let translated = run_mode(true);
-        let interpreted = run_mode(false);
+        let translated = run_mode(FetchMode::Translate);
+        let interpreted = run_mode(FetchMode::Predecode);
         assert_arch_identical(&translated, &interpreted, "trans-invalidate");
         assert!(
             translated.trans_deopts >= 1,
@@ -780,7 +805,7 @@ mod tests {
         let mut p = boot_full(
             src,
             &CodegenOptions::default(),
-            ProcessOptions { predecode: false, ..Default::default() },
+            ProcessOptions { fetch: FetchMode::Decode, ..Default::default() },
         );
         let (mut images, mut results) = (Vec::new(), Vec::new());
         for _ in 0..6 {
@@ -828,7 +853,7 @@ mod tests {
         let mut p = boot_full(
             src,
             &CodegenOptions::default(),
-            ProcessOptions { predecode: false, ..Default::default() },
+            ProcessOptions { fetch: FetchMode::Decode, ..Default::default() },
         );
         let plugged = p.symbol("plugged").expect("plugged is exported");
         let before = p.current_policy();

@@ -28,7 +28,7 @@ use mcfi_tables::{
 use crate::icache::PredecodeCache;
 use crate::mem::{MemFault, Perm, Sandbox, SandboxSnapshot};
 use crate::synth::Sys;
-use crate::trans::{Dispatch, TransCache};
+use crate::trans;
 use crate::vm::{Event, Vm, VmError, VmState};
 
 /// Address-space layout of a process.
@@ -73,22 +73,12 @@ pub struct ProcessOptions {
     pub max_steps: u64,
     /// Maximum Bary slots (indirect branches) across all loaded modules.
     pub bary_capacity: usize,
-    /// Whether [`Process::run`] and [`Process::run_with_updates`] fetch
-    /// through the predecoded-instruction cache (see [`crate::icache`]).
-    /// Architecturally invisible either way; disable to A/B the cost of
-    /// per-step decoding. [`Process::run_with_attacker`] always runs
-    /// uncached, since the attacker rewrites raw memory between steps.
-    pub predecode: bool,
-    /// Whether [`Process::run`] and [`Process::run_with_updates`]
-    /// execute through the baseline-compiled tier (see [`crate::trans`]):
-    /// basic blocks are lowered to threaded-code form with the Fig. 4
-    /// check transaction specialized per indirect-branch site, and any
-    /// sandbox generation bump deoptimizes back to the interpreter.
-    /// Architecturally invisible; off by default so interpreter-tier
-    /// A/B baselines (and their cache-counter contracts) are unchanged.
-    /// [`Process::run_with_attacker`] always interprets, for the same
-    /// reason it runs uncached.
-    pub translate: bool,
+    /// How [`Process::run`] and [`Process::run_with_updates`] fetch and
+    /// execute instructions (see [`FetchMode`]). Architecturally
+    /// invisible either way; only the cache and tier counters differ.
+    /// [`Process::run_with_attacker`] always decodes per step, since the
+    /// attacker rewrites raw memory between steps.
+    pub fetch: FetchMode,
     /// What to do when a check transaction halts the program.
     pub violation_policy: ViolationPolicy,
     /// Capacity of the audited-violation log (records kept verbatim
@@ -114,14 +104,33 @@ impl Default for ProcessOptions {
             layout: Layout::default(),
             max_steps: 500_000_000,
             bary_capacity: 1 << 16,
-            predecode: true,
-            translate: false,
+            fetch: FetchMode::Predecode,
             violation_policy: ViolationPolicy::Enforce,
             violation_log_capacity: ViolationLog::CAPACITY,
             checkpoint_interval: 0,
             admission: DecodeLimits::admission(),
         }
     }
+}
+
+/// The instruction-fetch path of a run ([`ProcessOptions::fetch`]).
+/// Each mode is observationally identical to the others; they differ in
+/// speed and in which of the `icache_*`/`trans_*` counters move.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub enum FetchMode {
+    /// Decode every instruction from memory on every step — the A/B
+    /// baseline for the code cache.
+    Decode,
+    /// Fetch through the predecoded-instruction cache (see
+    /// [`crate::icache`]; the default).
+    #[default]
+    Predecode,
+    /// Execute through the baseline-compiled tier (see [`crate::trans`]):
+    /// basic blocks are lowered to threaded-code form with the Fig. 4
+    /// check transaction specialized per indirect-branch site, over the
+    /// same code cache, whose generation bumps deoptimize them. Off by
+    /// default so the interpreter's counters keep their meaning.
+    Translate,
 }
 
 /// What the runtime does when an indirect branch fails its check
@@ -438,7 +447,7 @@ struct LoadedModule {
 /// time.
 #[derive(Clone)]
 enum LibraryEntry {
-    Decoded(Box<Module>),
+    Decoded(Arc<Module>),
     Image(Vec<u8>),
 }
 
@@ -640,13 +649,10 @@ pub struct Process {
     updates: u64,
     /// Published cycle counter (for external updater threads).
     cycles_shared: Arc<AtomicU64>,
-    /// Predecoded-instruction cache for the cached run loops. Kept on
-    /// the process so its side-tables survive across consecutive runs.
+    /// The code cache — predecoded slots and translated blocks — of the
+    /// cached and translated run loops. Kept on the process so it
+    /// survives across consecutive runs.
     icache: PredecodeCache,
-    /// Translated-block cache of the baseline-compiled tier (see
-    /// [`crate::trans`]); like the icache it survives across runs and
-    /// deoptimizes on any sandbox generation bump.
-    trans: TransCache,
     /// Armed fault injector, shared with the tables (see [`mcfi_chaos`]).
     chaos: Option<Arc<ChaosInjector>>,
     /// Dynamic loads rolled back after a mid-`dlopen` failure.
@@ -793,7 +799,6 @@ impl Process {
             updates: 0,
             cycles_shared: Arc::new(AtomicU64::new(0)),
             icache: PredecodeCache::new(),
-            trans: TransCache::new(),
             chaos: None,
             load_rollbacks: 0,
             violations: ViolationLog::with_capacity(opts.violation_log_capacity),
@@ -982,12 +987,6 @@ impl Process {
         self.opts.violation_policy = policy;
     }
 
-    /// Changes the in-run checkpoint cadence (steps between automatic
-    /// checkpoints; 0 disables them). Takes effect on the next run.
-    pub fn set_checkpoint_interval(&mut self, steps: u64) {
-        self.opts.checkpoint_interval = steps;
-    }
-
     /// Changes the step budget for subsequent runs (fleet use: a
     /// per-request deadline, so one livelocked request times out with
     /// [`Outcome::StepLimit`] instead of starving its host's loop).
@@ -1123,9 +1122,11 @@ impl Process {
 
     /// Registers a module that `dlopen` can load later (the "file system"
     /// of loadable libraries). The module is trusted: it skips the
-    /// admission pipeline and loads through [`Process::load`].
-    pub fn register_library(&mut self, file_name: &str, module: Module) {
-        self.registry.insert(file_name.to_string(), LibraryEntry::Decoded(Box::new(module)));
+    /// admission pipeline and loads through [`Process::load`]. A module
+    /// passed as `Arc<Module>` is registered, checkpointed and loaded
+    /// without a copy.
+    pub fn register_library(&mut self, file_name: &str, module: impl Into<Arc<Module>>) {
+        self.registry.insert(file_name.to_string(), LibraryEntry::Decoded(module.into()));
     }
 
     /// Registers an *untrusted* serialized module image that `dlopen`
@@ -1276,14 +1277,8 @@ impl Process {
     ///
     /// Fails on exhausted regions, unresolved absolute relocations, or
     /// type clashes.
-    pub fn load(&mut self, module: Module) -> Result<(), LoadError> {
-        let tx = self.begin_load();
-        let result = self.load_no_update(Arc::new(module)).and_then(|()| self.finish_load());
-        if let Err(e) = result {
-            self.rollback_load(tx);
-            return Err(e);
-        }
-        Ok(())
+    pub fn load(&mut self, module: impl Into<Arc<Module>>) -> Result<(), LoadError> {
+        self.load_all([module])
     }
 
     /// Loads several modules, then installs the CFG once. Transactional
@@ -1656,12 +1651,7 @@ impl Process {
     /// Regenerates the CFG over all loaded modules and runs the update
     /// transaction, adjusting GOT entries between the two table phases.
     fn install_policy(&mut self) {
-        let placed: Vec<Placed<'_>> = self
-            .modules
-            .iter()
-            .map(|lm| Placed { module: &lm.module, code_base: lm.code_base })
-            .collect();
-        let policy: ControlFlowPolicy = generate(&placed);
+        let policy = self.current_policy();
 
         // GOT bindings resolvable now.
         let mut got_writes: Vec<(u64, u64)> = Vec::new();
@@ -1765,9 +1755,9 @@ impl Process {
 
     /// Runs exported function `entry` (typically `__start`).
     ///
-    /// With `predecode` enabled (the default), instruction fetch goes
-    /// through the predecode cache; the observable result — outcome,
-    /// stdout, steps, cycles, checks — is identical either way.
+    /// Instruction fetch follows [`ProcessOptions::fetch`]; the
+    /// observable result — outcome, stdout, steps, cycles, checks — is
+    /// identical whichever mode runs.
     ///
     /// # Errors
     ///
@@ -1782,8 +1772,8 @@ impl Process {
     /// store, the registers, and the step count). Registers themselves
     /// are not directly modifiable — exactly the paper's threat model.
     ///
-    /// Always runs uncached, since the attacker rewrites raw memory
-    /// between steps.
+    /// Always decodes per step ([`FetchMode::Decode`]), since the
+    /// attacker rewrites raw memory between steps.
     ///
     /// # Errors
     ///
@@ -1826,26 +1816,25 @@ impl Process {
         let start_rollbacks = self.load_rollbacks;
         let start_tx = self.tables.tx_counters();
 
-        // Table version churn never touches code bytes, so the predecode
-        // cache stays valid under scripted updates; only the attacker
-        // (who rewrites raw memory between steps) forces uncached runs.
-        let cached = self.opts.predecode && !matches!(driver, Driver::Attacker(_));
-        // The translated tier memoises decoded code the same way, with
-        // the same attacker exception; it deoptimizes on any sandbox
-        // generation bump (dlopen, chaos) back to the interpreter.
-        let translated = self.opts.translate && !matches!(driver, Driver::Attacker(_));
+        // Table version churn never touches code bytes, so the code cache
+        // stays valid under scripted updates; only the attacker (who
+        // rewrites raw memory between steps) forces per-step decoding.
+        let fetch = match driver {
+            Driver::Attacker(_) => FetchMode::Decode,
+            _ => self.opts.fetch,
+        };
 
         // A checkpoint restore hands `start_vm` the stats of the run
         // that *captured* it — including cache/tier counters a
         // differently-configured resumption never touches. Zero whatever
         // this run's configuration cannot produce, so an uncached run
         // reports 0 hits/misses instead of a stale snapshot.
-        if !cached {
+        if fetch == FetchMode::Decode {
             vm.stats.icache_hits = 0;
             vm.stats.icache_misses = 0;
             vm.stats.icache_invalidations = 0;
         }
-        if !translated {
+        if fetch != FetchMode::Translate {
             vm.stats.trans_dispatches = 0;
             vm.stats.trans_translations = 0;
             vm.stats.trans_retranslations = 0;
@@ -1900,11 +1889,11 @@ impl Process {
                 pub_epoch = epoch;
                 self.cycles_shared.store(vm.stats.cycles, Ordering::Relaxed);
             }
-            let stepped = if translated {
+            let stepped = if fetch == FetchMode::Translate {
                 // The chaos point that forces a mid-run deopt with no
                 // loader activity (`trans-invalidate`).
                 if self.chaos_fire(FaultPoint::TransInvalidate).is_some() {
-                    self.trans.force_deopt();
+                    self.icache.retire_blocks(&mut vm.stats);
                 }
                 // Ceilings that keep every loop-top decision above on
                 // its exact instruction boundary: a block may finish
@@ -1925,23 +1914,11 @@ impl Process {
                     }
                     _ => u64::MAX,
                 };
-                match self.trans.dispatch(&mut vm, &mut self.mem, &tables, step_limit, cycle_limit)
-                {
-                    Ok(Dispatch::Ran(ev)) => Ok(ev),
-                    // The fallback ladder: translated → step_cached →
-                    // step. A dispatch that could not run a block takes
-                    // exactly one interpreter step, so the loop always
-                    // makes progress.
-                    Ok(Dispatch::Interp) => {
-                        if cached {
-                            vm.step_cached(&mut self.mem, &self.tables, &mut self.icache)
-                        } else {
-                            vm.step(&mut self.mem, &self.tables)
-                        }
-                    }
-                    Err(e) => Err(e),
-                }
-            } else if cached {
+                // A dispatch that cannot run a block takes one predecoded
+                // interpreter step, so the loop always makes progress.
+                let cache = &mut self.icache;
+                trans::dispatch(cache, &mut vm, &mut self.mem, &tables, step_limit, cycle_limit)
+            } else if fetch == FetchMode::Predecode {
                 vm.step_cached(&mut self.mem, &self.tables, &mut self.icache)
             } else {
                 vm.step(&mut self.mem, &self.tables)
@@ -2093,7 +2070,7 @@ impl Process {
                             0
                         } else {
                             let result = match entry {
-                                LibraryEntry::Decoded(module) => self.load(*module),
+                                LibraryEntry::Decoded(module) => self.load(module),
                                 LibraryEntry::Image(bytes) => self.load_image(bytes),
                             };
                             match result {

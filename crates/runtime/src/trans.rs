@@ -8,9 +8,10 @@
 //! match) on every step. This module lowers whole basic *superblocks*
 //! into a compact op stream executed by a tight internal loop:
 //!
-//! - **Straight-line ops** run through stripped executor arms that
-//!   accumulate step/cycle charges in locals (flushed at block exits)
-//!   and never touch `vm.pc` until the block ends or faults.
+//! - **Straight-line ops** run the interpreter's own semantics
+//!   (`Vm::apply`, given each op's pc) while the block accumulates
+//!   step/cycle charges in locals (flushed at block exits) and never
+//!   touches `vm.pc` until the block ends or faults.
 //! - **Direct control flow** (`Jmp`/`Jcc`/`Call`) is chained through:
 //!   translation continues at the statically known continuation, and at
 //!   run time a divergence check (did the executed branch follow the
@@ -28,17 +29,18 @@
 //!   (`TestImm`/`Cmp16` validity-and-version diagnosis, the retry loop,
 //!   ultimately `check_bounded`-equivalent behavior or the `Hlt`).
 //!
-//! # Invalidation: deopt on generation bump
+//! # One code cache, one invalidation rule
 //!
-//! Translated blocks memoise decoded bytes, so they ride the same
-//! correctness argument as the predecode cache: every code-byte
-//! mutation funnels through `Sandbox::{map, protect, load_image,
-//! raw_mut}`, each of which bumps the sandbox generation. The
-//! dispatcher compares its build generation on every entry; a mismatch
-//! *deoptimizes* — all blocks are discarded, execution falls back to
-//! `step_cached`, and retranslation happens lazily (and is counted as
-//! such) the next time a pc gets hot. The `trans-invalidate` chaos
-//! point forces this mid-run without any loader activity.
+//! Blocks live in the predecode cache's per-region segments, beside the
+//! slots translation reads its instructions from, so they ride the same
+//! correctness argument: every code-byte mutation funnels through
+//! `Sandbox::{map, protect, load_image, raw_mut}`, each of which bumps
+//! the sandbox generation. Every dispatch runs the cache's one
+//! generation compare; a mismatch rebuilds the slots and *deoptimizes*
+//! — all blocks are retired and retranslation happens lazily (and is
+//! counted as such) the next time a pc is dispatched. The
+//! `trans-invalidate` chaos point retires the blocks alone, mid-run,
+//! without any loader activity.
 //!
 //! # Interpreter equivalence
 //!
@@ -46,9 +48,9 @@
 //! (`tests/differential.rs`) holds it to byte-identical results. Three
 //! properties carry the proof:
 //!
-//! 1. **Per-op equivalence**: straight-line ops are verbatim copies of
-//!    the interpreter arms; chained/terminal ops call the real
-//!    `Vm::execute`. The TxCheck fast path fires only when
+//! 1. **Per-op equivalence**: straight-line ops run the interpreter's
+//!    one copy of the instruction semantics (`Vm::apply`); terminal
+//!    ops run the real `Vm::execute`. The TxCheck fast path fires only when
 //!    `bary_word == tary_word`, in which case the interpreted sequence
 //!    provably takes the success path with exactly the replayed
 //!    register/flag/statistic effects (`Cmp` equal ⇒ `flags = 0`,
@@ -67,27 +69,22 @@
 //!    so a mid-block fault leaves the machine exactly where the
 //!    interpreter's would.
 //!
-//! The fallback ladder is translated → `step_cached` → `step`: every
-//! dispatch that cannot run a block (untranslatable pc, limit
-//! proximity, TxCheck miss) executes at least one interpreter step, so
-//! the run loop always makes progress.
+//! The fallback ladder is translated → `step_cached`: every dispatch
+//! that cannot run a block (untranslatable pc, limit proximity, TxCheck
+//! miss) executes one predecoded interpreter step, so the run loop
+//! always makes progress.
 
 use std::cell::Cell;
 
-use mcfi_machine::{cost_of, decode, Cond, Inst, Reg};
+use mcfi_machine::{Cond, Inst};
 use mcfi_tables::IdTables;
 
+use crate::icache::{PredecodeCache, Segment};
 use crate::mem::Sandbox;
 use crate::vm::{Event, Vm, VmError};
 
 /// Translation stops after this many ops; loops unroll up to the cap.
 const MAX_BLOCK_OPS: usize = 256;
-
-/// Index sentinel: pc not translated yet.
-const EMPTY: u32 = u32::MAX;
-/// Index sentinel: translation at this pc produced nothing (e.g. the pc
-/// starts at a `Hlt` or undecodable bytes); permanently interpreted.
-const UNTRANSLATABLE: u32 = u32::MAX - 1;
 
 /// The Fig. 4 check transaction, specialized for one indirect-branch
 /// site: slot id, expected Bary word, and success-path branch target
@@ -123,8 +120,8 @@ struct TxCheckOp {
 
 /// One translated operation.
 enum OpKind {
-    /// A straight-line instruction: executed by the stripped arms in
-    /// [`exec_straight`], charges accumulated locally.
+    /// A straight-line instruction, run through the interpreter's own
+    /// semantics ([`Vm::apply`]) with its charges accumulated locally.
     Straight(Inst),
     /// A direct jump chained through at translation time: the block
     /// simply continues at the static target, so only the cycle charge
@@ -147,7 +144,7 @@ enum OpKind {
     },
     /// A block terminator with a dynamic or external continuation
     /// (`CallReg`/`JmpReg`/`JmpTable`/`Ret`/`Syscall`), executed by the
-    /// real interpreter arm; its event ends the block.
+    /// real interpreter step; its event ends the block.
     Term {
         /// The terminal instruction.
         inst: Inst,
@@ -167,7 +164,7 @@ struct Op {
 }
 
 /// A translated superblock.
-struct Block {
+pub(crate) struct Block {
     ops: Box<[Op]>,
     /// Worst-case steps a full execution charges (each op's steps; the
     /// check op counts its whole fast path).
@@ -179,283 +176,148 @@ struct Block {
     fallthrough: u64,
 }
 
-/// The per-segment block index: `index[pc - start]` is a slot into
-/// [`TransCache::blocks`], or a sentinel.
-struct TransSegment {
-    start: u64,
-    end: u64,
-    index: Vec<u32>,
-}
-
-impl TransSegment {
-    fn contains(&self, pc: u64) -> bool {
-        self.start <= pc && pc < self.end
-    }
-}
-
-/// What a dispatch produced.
-pub(crate) enum Dispatch {
-    /// No block ran (or a TxCheck fast path missed with nothing
-    /// executed): the caller **must** take exactly one interpreter step
-    /// before re-dispatching, so the loop always makes progress.
-    Interp,
-    /// A block ran to `Event` with `vm.pc` already correct.
-    Ran(Event),
-}
-
-/// The translated-block cache of the baseline-compiled tier (see the
-/// module docs). One per process, surviving across runs like the
-/// predecode cache; any sandbox generation bump deoptimizes it whole.
-pub struct TransCache {
-    /// Sandbox generation the blocks were translated against.
-    /// `u64::MAX` is unreachable by the sandbox (generations start at 0
-    /// and increment), so a fresh — or force-deopted — cache always
-    /// rebuilds on the next dispatch.
-    generation: u64,
-    segments: Vec<TransSegment>,
-    blocks: Vec<Block>,
-    /// Segment that served the last dispatch (hot-loop short-circuit).
-    last_segment: usize,
-    /// Whether a deopt ever retired live blocks — after which new
-    /// translations count as *re*translations.
-    deopted_once: bool,
-}
-
-impl Default for TransCache {
-    fn default() -> Self {
-        TransCache::new()
-    }
-}
-
-impl TransCache {
-    /// An empty cache; the first dispatch builds the segment index.
-    pub fn new() -> Self {
-        TransCache {
-            generation: u64::MAX,
-            segments: Vec::new(),
-            blocks: Vec::new(),
-            last_segment: 0,
-            deopted_once: false,
+/// Runs translated blocks starting at `vm.pc`, chaining from one block
+/// into the next (translating lazily at fresh pcs) for as long as each
+/// block's *worst-case* charges fit under `step_limit`/`cycle_limit` —
+/// both *inclusive* ceilings the post-block totals may reach but not
+/// cross. A dispatch that cannot run a block at its entry pc takes one
+/// interpreter step instead, so the run loop always makes progress.
+///
+/// Chaining is exact because every run-loop action between
+/// instructions is threshold-triggered: strictly below the ceilings,
+/// the loop-top is a no-op, so skipping it between chained blocks is
+/// unobservable. The chain breaks — returning `Continue` so the
+/// caller's loop-top runs — as soon as the next block might reach a
+/// ceiling, or has no translation.
+///
+/// # Errors
+///
+/// Exactly the [`VmError`]s the interpreter would raise at the same
+/// instruction, with identical machine state.
+pub(crate) fn dispatch(
+    cache: &mut PredecodeCache,
+    vm: &mut Vm,
+    mem: &mut Sandbox,
+    tables: &IdTables,
+    step_limit: u64,
+    cycle_limit: u64,
+) -> Result<Event, VmError> {
+    cache.validate(mem, &mut vm.stats);
+    let mut chained = false;
+    while let Some(block) = cache.block(mem, tables, vm.pc, &mut vm.stats) {
+        if vm.stats.steps.saturating_add(block.total_steps) > step_limit
+            || vm.stats.cycles.saturating_add(block.total_cycles) > cycle_limit
+        {
+            break;
         }
-    }
-
-    /// Force-deoptimizes: the next dispatch discards every translated
-    /// block and lazily retranslates, exactly as if the sandbox
-    /// generation had been bumped. The `trans-invalidate` chaos point
-    /// calls this mid-run.
-    pub(crate) fn force_deopt(&mut self) {
-        self.generation = u64::MAX;
-    }
-
-    /// Runs translated blocks starting at `vm.pc`, chaining from one
-    /// block into the next (translating lazily at fresh pcs) for as
-    /// long as each block's *worst-case* charges fit under
-    /// `step_limit`/`cycle_limit` — both *inclusive* ceilings the
-    /// post-block totals may reach but not cross.
-    ///
-    /// Chaining is exact because every run-loop action between
-    /// instructions is threshold-triggered: strictly below the
-    /// ceilings, the loop-top is a no-op, so skipping it between
-    /// chained blocks is unobservable. The chain breaks — returning
-    /// `Ran(Continue)` so the caller's loop-top runs — as soon as the
-    /// next block might reach a ceiling, or has no translation.
-    ///
-    /// # Errors
-    ///
-    /// Exactly the [`VmError`]s the interpreter would raise at the same
-    /// instruction, with identical machine state.
-    pub(crate) fn dispatch(
-        &mut self,
-        vm: &mut Vm,
-        mem: &mut Sandbox,
-        tables: &IdTables,
-        step_limit: u64,
-        cycle_limit: u64,
-    ) -> Result<Dispatch, VmError> {
-        if self.generation != mem.generation() {
-            self.deopt_and_rebuild(mem, vm);
-        }
-        let mut chained = false;
-        loop {
-            let pc = vm.pc;
-            let Some(si) = self.segment_index(pc) else {
-                return Ok(self.chain_break(vm, chained));
-            };
-            self.last_segment = si;
-            let off = (pc - self.segments[si].start) as usize;
-            let mut bi = self.segments[si].index[off];
-            if bi == EMPTY {
-                let (start, end) = (self.segments[si].start, self.segments[si].end);
-                let block = translate(mem, tables, start, end, pc);
-                if block.ops.is_empty() {
-                    self.segments[si].index[off] = UNTRANSLATABLE;
-                    return Ok(self.chain_break(vm, chained));
-                }
-                vm.stats.trans_translations += 1;
-                if self.deopted_once {
-                    vm.stats.trans_retranslations += 1;
-                }
-                bi = self.blocks.len() as u32;
-                self.blocks.push(block);
-                self.segments[si].index[off] = bi;
-            }
-            if bi == UNTRANSLATABLE {
-                return Ok(self.chain_break(vm, chained));
-            }
-            let block = &self.blocks[bi as usize];
-            if vm.stats.steps.saturating_add(block.total_steps) > step_limit
-                || vm.stats.cycles.saturating_add(block.total_cycles) > cycle_limit
-            {
-                return Ok(self.chain_break(vm, chained));
-            }
-            vm.stats.trans_dispatches += 1;
-            match run_block(block, vm, mem, tables)? {
-                Dispatch::Ran(Event::Continue) => chained = true,
-                done => return Ok(done),
+        vm.stats.trans_dispatches += 1;
+        match run_block(block, vm, mem, tables)? {
+            Some(Event::Continue) => chained = true,
+            Some(event) => return Ok(event),
+            // A specialized check missed having executed nothing: its
+            // slow path is the interpreter's, chained or not.
+            None => {
+                chained = false;
+                break;
             }
         }
     }
-
-    /// Ends a dispatch that cannot run a block at `vm.pc`. Mid-chain,
-    /// control goes back to the caller's loop-top as a completed
-    /// dispatch; on a cold entry it falls back to one interpreter step.
-    fn chain_break(&self, vm: &mut Vm, chained: bool) -> Dispatch {
-        if chained {
-            Dispatch::Ran(Event::Continue)
-        } else {
-            vm.stats.trans_fallbacks += 1;
-            Dispatch::Interp
-        }
+    // Mid-chain, control goes back to the caller's loop-top as a
+    // completed dispatch; otherwise one predecoded interpreter step.
+    if chained {
+        return Ok(Event::Continue);
     }
-
-    fn segment_index(&self, pc: u64) -> Option<usize> {
-        if let Some(seg) = self.segments.get(self.last_segment) {
-            if seg.contains(pc) {
-                return Some(self.last_segment);
-            }
-        }
-        self.segments.iter().position(|s| s.contains(pc))
-    }
-
-    /// Discards every block (counting a deopt if any were live) and
-    /// rebuilds the segment index from the current executable regions.
-    fn deopt_and_rebuild(&mut self, mem: &Sandbox, vm: &mut Vm) {
-        if !self.blocks.is_empty() {
-            vm.stats.trans_deopts += 1;
-            self.deopted_once = true;
-            self.blocks.clear();
-        }
-        self.segments.clear();
-        self.last_segment = 0;
-        for r in mem.regions().iter().filter(|r| r.perm.executable()) {
-            self.segments.push(TransSegment {
-                start: r.start,
-                end: r.end,
-                index: vec![EMPTY; (r.end - r.start) as usize],
-            });
-        }
-        self.generation = mem.generation();
-    }
+    vm.stats.trans_fallbacks += 1;
+    vm.step_cached(mem, tables, cache)
 }
 
-/// Lowers the superblock starting at `entry` within `[seg_start,
-/// seg_end)`. Direct branches chain; the walk stops at a terminator, a
-/// specialized check, the op cap, a decode failure, a `Hlt` (never
-/// translated — see the module docs), or bytes spilling past the
-/// segment (parity with the predecode cache's spill rule, since the
-/// tail might be mutable data). An empty result marks the pc
+/// Lowers the superblock starting at `entry`, reading instructions from
+/// the segment's predecoded slots. Direct branches chain; the walk
+/// stops at a terminator, a specialized check, the op cap, an
+/// undecodable pc, a `Hlt` (never translated — see the module docs), or
+/// bytes spilling past the segment (the predecode cache's spill rule,
+/// since the tail might be mutable data). `None` marks the pc
 /// untranslatable.
-fn translate(mem: &Sandbox, tables: &IdTables, seg_start: u64, seg_end: u64, entry: u64) -> Block {
-    let bytes = mem.raw();
+pub(crate) fn translate(
+    seg: &mut Segment,
+    mem: &Sandbox,
+    tables: &IdTables,
+    entry: u64,
+) -> Option<Block> {
     let mut ops: Vec<Op> = Vec::new();
     let mut total_steps = 0u64;
     let mut total_cycles = 0u64;
     let mut pc = entry;
-    while ops.len() < MAX_BLOCK_OPS && pc >= seg_start && pc < seg_end {
-        let Ok((inst, ilen)) = decode(bytes, pc as usize) else { break };
-        let len = ilen as u64;
-        if pc + len > seg_end {
-            break;
-        }
-        let cost = cost_of(&inst);
-        match inst {
-            Inst::BaryLoad { dst, slot } => {
-                if let Some(chk) = match_check(bytes, seg_end, pc, len, dst, slot, tables) {
+    while ops.len() < MAX_BLOCK_OPS {
+        let Some((inst, len, cost)) = seg.inst_within(mem, pc) else { break };
+        let fall = pc + len;
+        let (kind, next) = match inst {
+            Inst::BaryLoad { .. } => {
+                if let Some(chk) = match_check(seg, mem, tables, pc) {
                     total_steps += chk.fast_steps;
                     total_cycles += chk.fast_cycles;
                     ops.push(Op { pc, cost, kind: OpKind::Check(chk) });
-                    return Block {
-                        ops: ops.into_boxed_slice(),
-                        total_steps,
-                        total_cycles,
-                        fallthrough: 0,
-                    };
+                    break;
                 }
-                total_steps += 1;
-                total_cycles += cost;
-                ops.push(Op { pc, cost, kind: OpKind::Straight(inst) });
-                pc += len;
+                (OpKind::Straight(inst), Some(fall))
             }
-            Inst::Jmp { rel } => {
-                total_steps += 1;
-                total_cycles += cost;
-                ops.push(Op { pc, cost, kind: OpKind::Jmp });
-                pc = (pc + len).wrapping_add(rel as i64 as u64);
-            }
+            Inst::Jmp { rel } => (OpKind::Jmp, Some(fall.wrapping_add(rel as i64 as u64))),
+            // Chain the fall-through edge; a taken branch exits.
             Inst::Jcc { cc, rel } => {
-                // Chain the fall-through edge; a taken branch exits.
-                let taken = (pc + len).wrapping_add(rel as i64 as u64);
-                total_steps += 1;
-                total_cycles += cost;
-                ops.push(Op { pc, cost, kind: OpKind::Jcc { cc, taken } });
-                pc += len;
+                (OpKind::Jcc { cc, taken: fall.wrapping_add(rel as i64 as u64) }, Some(fall))
             }
             Inst::Call { rel } => {
-                total_steps += 1;
-                total_cycles += cost;
-                ops.push(Op { pc, cost, kind: OpKind::Call { ret: pc + len } });
-                pc = (pc + len).wrapping_add(rel as i64 as u64);
+                (OpKind::Call { ret: fall }, Some(fall.wrapping_add(rel as i64 as u64)))
             }
             Inst::CallReg { .. }
             | Inst::JmpReg { .. }
             | Inst::JmpTable { .. }
             | Inst::Ret
-            | Inst::Syscall => {
-                total_steps += 1;
-                total_cycles += cost;
-                ops.push(Op { pc, cost, kind: OpKind::Term { inst, len } });
-                return Block {
-                    ops: ops.into_boxed_slice(),
-                    total_steps,
-                    total_cycles,
-                    fallthrough: 0,
-                };
-            }
+            | Inst::Syscall => (OpKind::Term { inst, len }, None),
             // Never translated: `Hlt` costs zero cycles, which would
             // let a block's interior boundary sit exactly *on* a cycle
             // threshold the interpreter acts at (see the module docs).
             // The single-step fallback executes it identically.
             Inst::Hlt => break,
-            _ => {
-                total_steps += 1;
-                total_cycles += cost;
-                ops.push(Op { pc, cost, kind: OpKind::Straight(inst) });
-                pc += len;
-            }
+            _ => (OpKind::Straight(inst), Some(fall)),
+        };
+        total_steps += 1;
+        total_cycles += cost;
+        ops.push(Op { pc, cost, kind });
+        match next {
+            Some(next) => pc = next,
+            None => break,
         }
     }
-    Block { ops: ops.into_boxed_slice(), total_steps, total_cycles, fallthrough: pc }
+    // `pc` is where a block without a terminator falls through to.
+    (!ops.is_empty()).then(|| Block {
+        ops: ops.into_boxed_slice(),
+        total_steps,
+        total_cycles,
+        fallthrough: pc,
+    })
 }
 
-/// Decodes the instruction at `pc` if it lies — bytes included — within
-/// the segment.
-fn decode_within(bytes: &[u8], pc: u64, seg_end: u64) -> Option<(Inst, u64)> {
-    if pc >= seg_end {
-        return None;
+/// Walks a candidate check sequence instruction by instruction, summing
+/// the charges a fast-path hit replays.
+struct Walk<'a> {
+    seg: &'a mut Segment,
+    mem: &'a Sandbox,
+    at: u64,
+    steps: u64,
+    cycles: u64,
+}
+
+impl Walk<'_> {
+    /// The next instruction inside the segment with its pc and length.
+    fn next(&mut self) -> Option<(Inst, u64, u64)> {
+        let (inst, len, cost) = self.seg.inst_within(self.mem, self.at)?;
+        let pc = self.at;
+        self.at += len;
+        self.steps += 1;
+        self.cycles += cost;
+        Some((inst, pc, len))
     }
-    let (inst, len) = decode(bytes, pc as usize).ok()?;
-    let len = len as u64;
-    (pc + len <= seg_end).then_some((inst, len))
 }
 
 /// Recognizes the Fig. 4 fast-path sequence starting at a `BaryLoad`:
@@ -469,84 +331,34 @@ fn decode_within(bytes: &[u8], pc: u64, seg_end: u64) -> Option<(Inst, u64)> {
 /// writes commute with the target read). Returns `None` — the sequence
 /// translates as plain ops — on any mismatch.
 fn match_check(
-    bytes: &[u8],
-    seg_end: u64,
-    bary_pc: u64,
-    bary_len: u64,
-    bary_dst: Reg,
-    slot: u32,
+    seg: &mut Segment,
+    mem: &Sandbox,
     tables: &IdTables,
+    check_pc: u64,
 ) -> Option<TxCheckOp> {
-    let mut steps = 1u64;
-    let mut cycles = cost_of(&Inst::BaryLoad { dst: bary_dst, slot });
-    let mut at = bary_pc + bary_len;
-
-    let (inst, len) = decode_within(bytes, at, seg_end)?;
-    let Inst::TaryLoad { dst: tary_dst, addr: target } = inst else { return None };
+    let mut walk = Walk { seg, mem, at: check_pc, steps: 0, cycles: 0 };
+    let (Inst::BaryLoad { dst: bary_dst, slot }, ..) = walk.next()? else { return None };
+    let (Inst::TaryLoad { dst: tary_dst, addr: target }, ..) = walk.next()? else { return None };
     if tary_dst == bary_dst || target == bary_dst || target == tary_dst {
         return None;
     }
-    steps += 1;
-    cycles += cost_of(&inst);
-    at += len;
-
-    let (inst, len) = decode_within(bytes, at, seg_end)?;
-    let Inst::Cmp { a, b } = inst else { return None };
+    let (Inst::Cmp { a, b }, ..) = walk.next()? else { return None };
     if a != bary_dst || b != tary_dst {
         return None;
     }
-    steps += 1;
-    cycles += cost_of(&inst);
-    at += len;
-
-    let (inst, len) = decode_within(bytes, at, seg_end)?;
-    let Inst::Jcc { cc: Cond::Ne, .. } = inst else { return None };
-    steps += 1;
-    cycles += cost_of(&inst);
-    at += len;
-
+    let (Inst::Jcc { cc: Cond::Ne, .. }, ..) = walk.next()? else { return None };
     // Up to TARGET_ALIGN - 1 alignment Nops pad a call so its *end*
     // lands on an aligned (legal return-target) address.
     let mut nops = 0;
-    loop {
-        let (inst, len) = decode_within(bytes, at, seg_end)?;
-        match inst {
-            Inst::Nop if nops < 3 => {
-                nops += 1;
-                steps += 1;
-                cycles += cost_of(&inst);
-                at += len;
-            }
-            Inst::CallReg { reg } if reg == target => {
-                steps += 1;
-                cycles += cost_of(&inst);
-                return Some(check_op(bary_pc, at, len, true, slot, bary_dst, tary_dst, target, steps, cycles, tables));
-            }
-            Inst::JmpReg { reg } if reg == target => {
-                steps += 1;
-                cycles += cost_of(&inst);
-                return Some(check_op(bary_pc, at, len, false, slot, bary_dst, tary_dst, target, steps, cycles, tables));
-            }
+    let (is_call, branch_pc, branch_len) = loop {
+        match walk.next()? {
+            (Inst::Nop, ..) if nops < 3 => nops += 1,
+            (Inst::CallReg { reg }, pc, len) if reg == target => break (true, pc, len),
+            (Inst::JmpReg { reg }, pc, len) if reg == target => break (false, pc, len),
             _ => return None,
         }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn check_op(
-    check_pc: u64,
-    branch_pc: u64,
-    branch_len: u64,
-    is_call: bool,
-    slot: u32,
-    bary_dst: Reg,
-    tary_dst: Reg,
-    target: Reg,
-    fast_steps: u64,
-    fast_cycles: u64,
-    tables: &IdTables,
-) -> TxCheckOp {
-    TxCheckOp {
+    };
+    Some(TxCheckOp {
         slot,
         bary_dst: bary_dst.nibble() as usize,
         tary_dst: tary_dst.nibble() as usize,
@@ -555,21 +367,22 @@ fn check_op(
         check_pc,
         branch_pc,
         branch_len,
-        fast_steps,
-        fast_cycles,
+        fast_steps: walk.steps,
+        fast_cycles: walk.cycles,
         expected: Cell::new(tables.bary_word(slot as usize)),
-    }
+    })
 }
 
 /// Executes `block` against the machine. Precondition (enforced by
-/// [`TransCache::dispatch`]): the block's worst-case charges fit under
-/// the caller's step/cycle limits.
+/// [`dispatch`]): the block's worst-case charges fit under the caller's
+/// step/cycle limits. Returns the event that ended the block, or `None`
+/// when its specialized check missed with nothing executed.
 fn run_block(
     block: &Block,
     vm: &mut Vm,
     mem: &mut Sandbox,
     tables: &IdTables,
-) -> Result<Dispatch, VmError> {
+) -> Result<Option<Event>, VmError> {
     // Step/cycle charges accumulate in locals and flush at every exit
     // (including faults), so interior ops pay no memory traffic for
     // statistics. `vm.pc` is likewise only maintained at exits.
@@ -585,10 +398,13 @@ fn run_block(
         match &op.kind {
             OpKind::Straight(inst) => {
                 // Charges apply before effects, exactly like the
-                // interpreter's `execute`.
+                // interpreter's `execute`. The block walks on to its
+                // next op whatever `next` says: straight-line
+                // instructions never redirect it.
                 dsteps += 1;
                 dcycles += op.cost;
-                if let Err(e) = exec_straight(vm, mem, tables, inst, op.pc) {
+                let mut next = op.pc;
+                if let Err(e) = vm.apply(mem, tables, *inst, op.pc, &mut next) {
                     vm.pc = op.pc;
                     flush!();
                     return Err(e);
@@ -608,7 +424,7 @@ fn run_block(
                     // exit the block at the taken target.
                     flush!();
                     vm.pc = *taken;
-                    return Ok(Dispatch::Ran(Event::Continue));
+                    return Ok(Some(Event::Continue));
                 }
             }
             OpKind::Call { ret } => {
@@ -625,8 +441,7 @@ fn run_block(
             OpKind::Term { inst, len } => {
                 flush!();
                 vm.pc = op.pc;
-                let ev = vm.execute(mem, tables, *inst, *len, op.cost)?;
-                return Ok(Dispatch::Ran(ev));
+                return vm.execute(mem, tables, *inst, *len, op.cost).map(Some);
             }
             OpKind::Check(chk) => {
                 flush!();
@@ -636,28 +451,27 @@ fn run_block(
     }
     flush!();
     vm.pc = block.fallthrough;
-    Ok(Dispatch::Ran(Event::Continue))
+    Ok(Some(Event::Continue))
 }
 
 /// The specialized TxCheck fast path. One live Bary read, one live Tary
 /// read; on `bary == tary` the whole instrumented sequence provably
 /// takes its success path, so its architectural effects are replayed in
-/// one go. On a miss **nothing** has executed: the caller resumes
-/// single-step interpretation at the `BaryLoad`, which runs the full
+/// one go. On a miss **nothing** has executed: `None` sends the caller
+/// to single-step interpretation at the `BaryLoad`, which runs the full
 /// slow path (validity test, version comparison, retry loop, `Hlt`).
 fn run_check(
     chk: &TxCheckOp,
     vm: &mut Vm,
     mem: &mut Sandbox,
     tables: &IdTables,
-) -> Result<Dispatch, VmError> {
+) -> Result<Option<Event>, VmError> {
     let bary = tables.bary_word(chk.slot as usize);
     let target = vm.regs[chk.target];
     let tary = tables.tary_word(target);
     if bary != tary {
         vm.pc = chk.check_pc;
-        vm.stats.trans_fallbacks += 1;
-        return Ok(Dispatch::Interp);
+        return Ok(None);
     }
     // Heal the baked expectation after version re-stamps.
     if chk.expected.get() != bary {
@@ -685,157 +499,5 @@ fn run_check(
     vm.stats.indirect_taken += 1;
     vm.last_check = None;
     vm.pc = target;
-    Ok(Dispatch::Ran(Event::Continue))
-}
-
-/// Verbatim copies of the interpreter's straight-line arms (see
-/// [`Vm::execute`]), minus everything a non-control instruction never
-/// does: no `next` computation, no pc store, no step/cycle charge (the
-/// block loop accumulates those locally).
-fn exec_straight(
-    vm: &mut Vm,
-    mem: &mut Sandbox,
-    tables: &IdTables,
-    inst: &Inst,
-    pc: u64,
-) -> Result<(), VmError> {
-    use mcfi_machine::AluOp;
-    use mcfi_tables::Id;
-    match *inst {
-        Inst::MovImm { dst, imm } => vm.set_reg(dst, imm as u64),
-        Inst::MovReg { dst, src } => vm.set_reg(dst, vm.reg(src)),
-        Inst::Load { dst, base, offset } => {
-            let addr = vm.reg(base).wrapping_add(offset as i64 as u64);
-            let v = mem.read64(addr)?;
-            vm.set_reg(dst, v);
-        }
-        Inst::Store { base, offset, src } => {
-            let addr = vm.reg(base).wrapping_add(offset as i64 as u64);
-            mem.write64(addr, vm.reg(src))?;
-        }
-        Inst::Load8 { dst, base, offset } => {
-            let addr = vm.reg(base).wrapping_add(offset as i64 as u64);
-            let v = mem.read8(addr)?;
-            vm.set_reg(dst, u64::from(v));
-        }
-        Inst::Store8 { base, offset, src } => {
-            let addr = vm.reg(base).wrapping_add(offset as i64 as u64);
-            mem.write8(addr, vm.reg(src) as u8)?;
-        }
-        Inst::Lea { dst, base, offset } => {
-            vm.set_reg(dst, vm.reg(base).wrapping_add(offset as i64 as u64));
-        }
-        Inst::Alu { op, dst, src } => {
-            let a = vm.reg(dst) as i64;
-            let b = vm.reg(src) as i64;
-            let r = match op {
-                AluOp::Add => a.wrapping_add(b),
-                AluOp::Sub => a.wrapping_sub(b),
-                AluOp::Mul => a.wrapping_mul(b),
-                AluOp::Div => {
-                    if b == 0 {
-                        return Err(VmError::DivideByZero { pc });
-                    }
-                    a.wrapping_div(b)
-                }
-                AluOp::Rem => {
-                    if b == 0 {
-                        return Err(VmError::DivideByZero { pc });
-                    }
-                    a.wrapping_rem(b)
-                }
-                AluOp::And => a & b,
-                AluOp::Or => a | b,
-                AluOp::Xor => a ^ b,
-                AluOp::Shl => a.wrapping_shl(b as u32 & 63),
-                AluOp::Shr => a.wrapping_shr(b as u32 & 63),
-            };
-            vm.set_reg(dst, r as u64);
-        }
-        Inst::AddImm { dst, imm } => {
-            vm.set_reg(dst, vm.reg(dst).wrapping_add(imm as i64 as u64));
-        }
-        Inst::AndImm { dst, imm } => {
-            vm.set_reg(dst, vm.reg(dst) & imm);
-        }
-        Inst::Cmp { a, b } => {
-            vm.flags = (vm.reg(a) as i64).wrapping_sub(vm.reg(b) as i64).signum();
-        }
-        Inst::Cmp16 { a, b } => {
-            vm.flags = i64::from((vm.reg(a) as u16) != (vm.reg(b) as u16));
-        }
-        Inst::CmpImm { a, imm } => {
-            vm.flags = (vm.reg(a) as i64).wrapping_sub(imm as i64).signum();
-        }
-        Inst::TestImm { a, imm } => {
-            vm.flags = i64::from(vm.reg(a) & (imm as i64 as u64) != 0);
-        }
-        Inst::SetCc { cc, dst } => {
-            let v = u64::from(vm.cond(cc));
-            vm.set_reg(dst, v);
-        }
-        Inst::Push { reg } => vm.push(mem, vm.reg(reg))?,
-        Inst::Pop { reg } => {
-            let v = vm.pop(mem)?;
-            vm.set_reg(reg, v);
-        }
-        Inst::Trunc32 { reg } => {
-            vm.set_reg(reg, vm.reg(reg) & 0xffff_ffff);
-        }
-        Inst::TaryLoad { dst, addr } => {
-            let target = vm.reg(addr);
-            let word = tables.tary_word(target);
-            vm.set_reg(dst, u64::from(word));
-            vm.stats.checks += 1;
-            if let Some(slot) = vm.last_bary {
-                if let (Some(b), Some(t)) =
-                    (Id::from_word(tables.bary_word(slot)), Id::from_word(word))
-                {
-                    if b.version() != t.version() {
-                        vm.stats.check_retries += 1;
-                    }
-                }
-                vm.last_check = Some((slot, target));
-            }
-        }
-        Inst::BaryLoad { dst, slot } => {
-            let word = tables.bary_word(slot as usize);
-            vm.set_reg(dst, u64::from(word));
-            vm.last_bary = Some(slot as usize);
-        }
-        Inst::FAlu { op, dst, src } => {
-            use mcfi_machine::FaluOp;
-            let a = f64::from_bits(vm.reg(dst));
-            let b = f64::from_bits(vm.reg(src));
-            let r = match op {
-                FaluOp::Add => a + b,
-                FaluOp::Sub => a - b,
-                FaluOp::Mul => a * b,
-                FaluOp::Div => a / b,
-            };
-            vm.set_reg(dst, r.to_bits());
-        }
-        Inst::FCmp { a, b } => {
-            let x = f64::from_bits(vm.reg(a));
-            let y = f64::from_bits(vm.reg(b));
-            vm.flags = match x.partial_cmp(&y) {
-                Some(std::cmp::Ordering::Less) => -1,
-                Some(std::cmp::Ordering::Equal) => 0,
-                _ => 1, // Greater or unordered (NaN)
-            };
-        }
-        Inst::CvtIF { dst, src } => {
-            let v = vm.reg(src) as i64 as f64;
-            vm.set_reg(dst, v.to_bits());
-        }
-        Inst::CvtFI { dst, src } => {
-            let v = f64::from_bits(vm.reg(src)) as i64;
-            vm.set_reg(dst, v as u64);
-        }
-        Inst::Nop => {}
-        // The translator classifies every control-flow instruction as
-        // Flow/Term/Check; its match is compiler-exhaustive.
-        _ => unreachable!("control flow classified as straight-line"),
-    }
-    Ok(())
+    Ok(Some(Event::Continue))
 }

@@ -283,7 +283,9 @@ impl Vm {
         self.execute(mem, tables, inst, len, cost)
     }
 
-    /// Applies one already-fetched instruction to the machine state.
+    /// Applies one already-fetched instruction to the machine state:
+    /// the charges, the instruction's semantics ([`Vm::apply`]), then
+    /// the pc store.
     #[inline]
     pub(crate) fn execute(
         &mut self,
@@ -296,6 +298,27 @@ impl Vm {
         self.stats.steps += 1;
         self.stats.cycles += cost;
         let mut next = self.pc + len;
+        let event = self.apply(mem, tables, inst, self.pc, &mut next)?;
+        self.pc = next;
+        Ok(event)
+    }
+
+    /// The semantics of every instruction: the one copy both the
+    /// interpreter ([`Vm::execute`]) and the translated tier's
+    /// straight-line ops run. `pc` is the instruction's own address —
+    /// inside a translated block `self.pc` is not kept current — and
+    /// `next` enters as the fall-through address and leaves as the
+    /// successor. Charges nothing and leaves `self.pc` alone; returns
+    /// the event that ends a step early (`Syscall`, `Halt`).
+    #[inline(always)]
+    pub(crate) fn apply(
+        &mut self,
+        mem: &mut Sandbox,
+        tables: &IdTables,
+        inst: Inst,
+        pc: u64,
+        next: &mut u64,
+    ) -> Result<Event, VmError> {
         match inst {
             Inst::MovImm { dst, imm } => self.set_reg(dst, imm as u64),
             Inst::MovReg { dst, src } => self.set_reg(dst, self.reg(src)),
@@ -329,13 +352,13 @@ impl Vm {
                     AluOp::Mul => a.wrapping_mul(b),
                     AluOp::Div => {
                         if b == 0 {
-                            return Err(VmError::DivideByZero { pc: self.pc });
+                            return Err(VmError::DivideByZero { pc });
                         }
                         a.wrapping_div(b)
                     }
                     AluOp::Rem => {
                         if b == 0 {
-                            return Err(VmError::DivideByZero { pc: self.pc });
+                            return Err(VmError::DivideByZero { pc });
                         }
                         a.wrapping_rem(b)
                     }
@@ -371,40 +394,40 @@ impl Vm {
                 self.set_reg(dst, v);
             }
             Inst::Jmp { rel } => {
-                next = next.wrapping_add(rel as i64 as u64);
+                *next = next.wrapping_add(rel as i64 as u64);
             }
             Inst::Jcc { cc, rel } => {
                 if self.cond(cc) {
-                    next = next.wrapping_add(rel as i64 as u64);
+                    *next = next.wrapping_add(rel as i64 as u64);
                 }
             }
             Inst::Call { rel } => {
-                self.push(mem, next)?;
-                next = next.wrapping_add(rel as i64 as u64);
+                self.push(mem, *next)?;
+                *next = next.wrapping_add(rel as i64 as u64);
             }
             Inst::CallReg { reg } => {
-                self.push(mem, next)?;
-                next = self.reg(reg);
+                self.push(mem, *next)?;
+                *next = self.reg(reg);
                 self.stats.indirect_taken += 1;
                 self.last_check = None;
             }
             Inst::JmpReg { reg } => {
-                next = self.reg(reg);
+                *next = self.reg(reg);
                 self.stats.indirect_taken += 1;
                 self.last_check = None;
             }
             Inst::JmpTable { index, table, len } => {
                 let idx = self.reg(index);
                 if idx >= u64::from(len) {
-                    return Err(VmError::TableIndex { pc: self.pc });
+                    return Err(VmError::TableIndex { pc });
                 }
                 // Jump tables live in the read-only code region.
-                next = mem.read64(u64::from(table) + idx * 8)?;
+                *next = mem.read64(u64::from(table) + idx * 8)?;
                 self.stats.indirect_taken += 1;
                 self.last_check = None;
             }
             Inst::Ret => {
-                next = self.pop(mem)?;
+                *next = self.pop(mem)?;
                 self.stats.indirect_taken += 1;
                 self.last_check = None;
             }
@@ -468,16 +491,13 @@ impl Vm {
                 let v = f64::from_bits(self.reg(src)) as i64;
                 self.set_reg(dst, v as u64);
             }
-            Inst::Syscall => {
-                self.pc = next;
-                return Ok(Event::Syscall);
-            }
+            Inst::Syscall => return Ok(Event::Syscall),
             Inst::Hlt => {
-                return Ok(Event::Halt { pc: self.pc });
+                *next = pc;
+                return Ok(Event::Halt { pc });
             }
             Inst::Nop => {}
         }
-        self.pc = next;
         Ok(Event::Continue)
     }
 }

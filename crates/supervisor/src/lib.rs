@@ -7,8 +7,8 @@
 //! failure into forward progress instead of a dead process:
 //!
 //! * **Checkpoint/restore** — the supervisor takes a baseline checkpoint
-//!   before every run (plus periodic in-run checkpoints when
-//!   [`RecoveryPolicy::checkpoint_interval`] is set) and rolls the process
+//!   before every run (the process adds periodic in-run checkpoints when
+//!   its `ProcessOptions::checkpoint_interval` is set) and rolls the process
 //!   back to the newest *safe* checkpoint after a violation. Restores
 //!   verify a content digest first, so a corrupted checkpoint is skipped,
 //!   never resumed from.
@@ -95,9 +95,6 @@ impl From<LoadError> for SupervisorError {
 /// Declarative recovery policy for a supervised process.
 #[derive(Clone, Copy, Debug)]
 pub struct RecoveryPolicy {
-    /// Steps between automatic in-run checkpoints (0 = baseline
-    /// between-run checkpoints only).
-    pub checkpoint_interval: u64,
     /// Recoveries (violation rollbacks or watchdog re-runs) before the
     /// supervisor escalates to [`ViolationPolicy::Enforce`] and gives up.
     pub violation_retries: u32,
@@ -116,7 +113,6 @@ pub struct RecoveryPolicy {
 impl Default for RecoveryPolicy {
     fn default() -> Self {
         RecoveryPolicy {
-            checkpoint_interval: 0,
             violation_retries: 3,
             max_restore_attempts: 8,
             quarantine: QuarantineConfig::default(),
@@ -152,11 +148,11 @@ pub struct Supervisor {
 }
 
 impl Supervisor {
-    /// Wraps `process`, installing the policy's quarantine config,
-    /// checkpoint cadence, and (if configured) the updater lease.
+    /// Wraps `process`, installing the policy's quarantine config and
+    /// (if configured) the updater lease. The in-run checkpoint cadence
+    /// stays the process's own (`ProcessOptions::checkpoint_interval`).
     pub fn new(mut process: Process, policy: RecoveryPolicy) -> Self {
         process.set_quarantine(policy.quarantine);
-        process.set_checkpoint_interval(policy.checkpoint_interval);
         if policy.lease_duration > 0 {
             process.enable_update_lease(policy.lease_duration);
         }
@@ -392,6 +388,22 @@ mod tests {
         assert_eq!(report[0].library, "evil");
         assert!(report[0].banned);
         assert!(report[0].last_error.contains("cfi violation"));
+    }
+
+    #[test]
+    fn supervision_keeps_the_process_checkpoint_cadence() {
+        let src = "int main(void) {\n\
+             int acc = 0; int i = 0;\n\
+             while (i < 3000) { acc = acc + i; i = i + 1; }\n\
+             return acc % 101;\n\
+           }";
+        let popts = ProcessOptions { checkpoint_interval: 2_000, ..Default::default() };
+        let mut sup = Supervisor::new(boot(src, popts), RecoveryPolicy::default());
+        let r = sup.run("__start").expect("entry resolves");
+        assert!(matches!(r.outcome, Outcome::Exit { .. }), "{:?}", r.outcome);
+        assert!(r.steps > 4_000, "the run spans two cadence intervals: {} steps", r.steps);
+        let in_run = sup.process().checkpoints().iter().filter(|cp| cp.resumable()).count();
+        assert!(in_run >= 2, "the default policy dropped the cadence: {in_run} in-run checkpoints");
     }
 
     #[test]

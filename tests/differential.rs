@@ -9,8 +9,8 @@
 //! the whole matrix for CI soak runs.
 
 use mcfi::{
-    compile_module, standard_modules, BuildOptions, FaultPlan, Outcome, ProcessOptions, RunResult,
-    SharedImage, System, ViolationPolicy,
+    compile_module, standard_modules, BuildOptions, FaultPlan, FetchMode, Outcome, ProcessOptions,
+    RunResult, SharedImage, System, ViolationPolicy,
 };
 use mcfi_workloads::{source, Variant, BENCHMARKS};
 
@@ -30,22 +30,12 @@ const UPDATE_WINDOW: u64 = 1_000;
 /// retries) still ends promptly.
 const STEP_BUDGET: u64 = 12_000_000;
 
-/// One instrumented run: boot, arm the plan, run with scripted updates,
-/// return the report plus the two chaos-visible logs.
-fn observe(src: &str, predecode: bool, plan: FaultPlan) -> (RunResult, Vec<String>, Vec<String>) {
-    observe_tier(src, predecode, false, plan)
-}
-
-/// Like [`observe`], but also selecting the baseline-compiled tier.
-fn observe_tier(
-    src: &str,
-    predecode: bool,
-    translate: bool,
-    plan: FaultPlan,
-) -> (RunResult, Vec<String>, Vec<String>) {
+/// One instrumented run: boot, arm the plan, run with scripted updates
+/// under the given fetch mode, return the report plus the two
+/// chaos-visible logs.
+fn observe(src: &str, fetch: FetchMode, plan: FaultPlan) -> (RunResult, Vec<String>, Vec<String>) {
     let proc_opts = ProcessOptions {
-        predecode,
-        translate,
+        fetch,
         max_steps: STEP_BUDGET,
         violation_policy: ViolationPolicy::Audit,
         ..Default::default()
@@ -70,8 +60,8 @@ fn observe_tier(
 /// (and must) differ.
 fn assert_differential(what: &str, src: &str, seed: u64) {
     let plan = FaultPlan::random(seed, 4);
-    let (on, log_on, fired_on) = observe(src, true, plan.clone());
-    let (off, log_off, fired_off) = observe(src, false, plan);
+    let (on, log_on, fired_on) = observe(src, FetchMode::Predecode, plan.clone());
+    let (off, log_off, fired_off) = observe(src, FetchMode::Decode, plan);
 
     assert_eq!(on.outcome, off.outcome, "{what}: outcome");
     assert_eq!(on.stdout, off.stdout, "{what}: stdout");
@@ -96,8 +86,8 @@ fn assert_differential(what: &str, src: &str, seed: u64) {
 /// through the predecode cache, so the only variable is translation.
 fn assert_translation_differential(what: &str, src: &str, seed: u64) {
     let plan = FaultPlan::random(seed, 4);
-    let (trans, log_t, fired_t) = observe_tier(src, true, true, plan.clone());
-    let (interp, log_i, fired_i) = observe_tier(src, true, false, plan);
+    let (trans, log_t, fired_t) = observe(src, FetchMode::Translate, plan.clone());
+    let (interp, log_i, fired_i) = observe(src, FetchMode::Predecode, plan);
 
     assert_eq!(trans.outcome, interp.outcome, "{what}: outcome");
     assert_eq!(trans.stdout, interp.stdout, "{what}: stdout");
@@ -158,7 +148,7 @@ fn observe_shared(src: &str, plan: FaultPlan) -> (RunResult, Vec<String>, Vec<St
 fn assert_shared_differential(what: &str, src: &str, seed: u64) {
     let plan = FaultPlan::random(seed, 4);
     let (shared, log_s, fired_s) = observe_shared(src, plan.clone());
-    let (private, log_p, fired_p) = observe(src, ProcessOptions::default().predecode, plan);
+    let (private, log_p, fired_p) = observe(src, ProcessOptions::default().fetch, plan);
 
     assert_eq!(shared.outcome, private.outcome, "{what}: outcome");
     assert_eq!(shared.stdout, private.stdout, "{what}: stdout");
@@ -213,7 +203,7 @@ fn violating_program_audit_logs_are_sharing_invariant() {
         let plan = FaultPlan::random(seed, 4);
         let (shared, log_s, fired_s) = observe_shared(src, plan.clone());
         let (private, log_p, fired_p) =
-            observe(src, ProcessOptions::default().predecode, plan);
+            observe(src, ProcessOptions::default().fetch, plan);
         assert_eq!(shared.outcome, private.outcome, "seed {seed}: outcome");
         assert_eq!(shared.audited_violations, private.audited_violations, "seed {seed}");
         assert!(shared.audited_violations >= 60, "seed {seed}: every hijacked call audited");
@@ -277,8 +267,8 @@ fn violating_program_audit_logs_are_predecode_invariant() {
     for k in 1..=3u64 {
         let seed = seed_base() + k;
         let plan = FaultPlan::random(seed, 4);
-        let (on, log_on, fired_on) = observe(src, true, plan.clone());
-        let (off, log_off, fired_off) = observe(src, false, plan);
+        let (on, log_on, fired_on) = observe(src, FetchMode::Predecode, plan.clone());
+        let (off, log_off, fired_off) = observe(src, FetchMode::Decode, plan);
         assert_eq!(on.outcome, off.outcome, "seed {seed}: outcome");
         assert_eq!(on.audited_violations, off.audited_violations, "seed {seed}");
         assert!(on.audited_violations >= 60, "seed {seed}: every hijacked call audited");

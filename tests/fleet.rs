@@ -4,9 +4,9 @@
 //! load-shed guarantees.
 
 use mcfi::{
-    compile_module, solo_replay, standard_modules, tenant_plan, Backoff, BuildOptions, Fleet,
-    FleetOptions, Outcome, ProcessOptions, RecoveryPolicy, RestartStrategy, Schedule, Storm,
-    StormKind, TenantHealth, TenantSpec, ViolationPolicy,
+    compile_module, net_tenant_spec, solo_replay, standard_modules, tenant_plan, Backoff,
+    BuildOptions, Fleet, FleetOptions, Outcome, ProcessOptions, RecoveryPolicy, RestartStrategy,
+    Schedule, Storm, StormKind, TenantHealth, TenantSpec, ViolationPolicy,
 };
 
 fn spec_for(name: &str, src: &str, popts: ProcessOptions) -> TenantSpec {
@@ -243,3 +243,35 @@ fn fleet_stats_serialize_as_a_json_artifact() {
     assert!(compact.contains(&format!("\"bans\":{}", stats.bans)), "{compact}");
 }
 
+
+/// Tier-1's guard on default-mode results: one self-driving network
+/// tenant's digest after its n-th served request must equal the
+/// `fleet servedN` line of the benchmark's reference file. The digest
+/// hashes each `RunResult`'s `Debug` string, so any changed field of a
+/// default-mode run — a counter included — fails here. The reference
+/// file stays the single source: a benchmark re-baseline updates both
+/// checks at once.
+#[test]
+fn net_tenant_digests_match_the_benchmark_reference() {
+    const EXPECTED: &str = include_str!("../perfbench/expected.txt");
+    let reference: Vec<(u64, &str)> = EXPECTED
+        .lines()
+        .filter_map(|line| {
+            let (served, digest) = line.strip_prefix("fleet served")?.split_once(' ')?;
+            Some((served.parse().ok()?, digest))
+        })
+        .collect();
+    let points: Vec<u64> = reference.iter().map(|&(n, _)| n).collect();
+    assert_eq!(points, [1, 2, 4, 16, 17, 18, 32], "the reference points moved");
+
+    let mut fleet =
+        Fleet::new(vec![net_tenant_spec("t0")], FleetOptions::default()).expect("fleet boots");
+    for _ in 0..32 {
+        fleet.run_requests(1);
+        let tenant = &fleet.stats().per_tenant[0];
+        if let Some(&(served, want)) = reference.iter().find(|&&(n, _)| n == tenant.served) {
+            assert_eq!(format!("{:016x}", tenant.digest), want, "digest after {served} served");
+        }
+    }
+    assert_eq!(fleet.stats().per_tenant[0].served, 32, "every request served");
+}

@@ -41,7 +41,8 @@ const RETRY_HOST: &str = r#"
 "#;
 
 fn boot_retry_host(plan: Option<FaultPlan>) -> (Supervisor, Option<std::sync::Arc<mcfi::ChaosInjector>>) {
-    let proc_opts = ProcessOptions { max_steps: 400_000, ..Default::default() };
+    let proc_opts =
+        ProcessOptions { max_steps: 400_000, checkpoint_interval: 2_000, ..Default::default() };
     let mut sys = System::boot_source_with(RETRY_HOST, &opts(), proc_opts).expect("boots");
     for i in 1..=3 {
         let lib = compile_module(
@@ -54,7 +55,6 @@ fn boot_retry_host(plan: Option<FaultPlan>) -> (Supervisor, Option<std::sync::Ar
     }
     let injector = plan.map(|p| sys.process().arm_chaos(p));
     let policy = RecoveryPolicy {
-        checkpoint_interval: 2_000,
         quarantine: QuarantineConfig { max_failures: 10, base_backoff: 64, seed: 5 },
         ..Default::default()
     };
@@ -115,7 +115,6 @@ fn every_fault_point_fires_and_the_supervised_outcome_still_converges() {
         }
     "#;
     let policy = RecoveryPolicy {
-        checkpoint_interval: 2_000,
         lease_duration: 5_000,
         quarantine: QuarantineConfig { max_failures: 4, base_backoff: 50, seed: 9 },
         ..Default::default()
@@ -124,6 +123,7 @@ fn every_fault_point_fires_and_the_supervised_outcome_still_converges() {
         let proc_opts = ProcessOptions {
             max_steps: 400_000,
             violation_policy: ViolationPolicy::Recover,
+            checkpoint_interval: 2_000,
             ..Default::default()
         };
         let mut sys = System::boot_source_with(host, &opts(), proc_opts).expect("boots");
