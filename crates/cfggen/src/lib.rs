@@ -393,9 +393,10 @@ impl UnionFind {
     }
 }
 
-/// Converts a policy into the `getTaryECN`/`getBaryECN` closures used by
-/// an update transaction (paper Fig. 3), relative to `code_base` — table
-/// indices are sandbox-absolute addresses divided down by the runtime.
+/// Converts a policy into the `getTaryECN`/`getBaryECN` closures an
+/// update transaction takes (paper Fig. 3): the ECN of a sandbox-absolute
+/// code address, and the ECN of a global Bary slot. Every runtime policy
+/// install goes through this one adapter.
 pub fn policy_lookups(
     policy: &ControlFlowPolicy,
 ) -> (

@@ -17,6 +17,7 @@
 
 use std::sync::Arc;
 
+use mcfi_cfggen::policy_lookups;
 use mcfi_module::Module;
 use mcfi_tables::{SharedTables, TablesConfig, UpdateStats};
 
@@ -62,10 +63,8 @@ impl SharedImage {
             bary_slots: opts.bary_capacity,
         });
         let policy = proto.current_policy();
-        tables.base().update(
-            |addr| policy.tary.get(&addr).copied(),
-            |slot| policy.bary.get(slot).map(|b| b.ecn),
-        );
+        let (tary, bary) = policy_lookups(&policy);
+        tables.base().update(tary, bary);
         Ok(SharedImage { modules, tables, opts })
     }
 

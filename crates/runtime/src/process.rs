@@ -13,7 +13,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use mcfi_cfggen::{generate, ControlFlowPolicy, Placed};
+use mcfi_cfggen::{generate, policy_lookups, ControlFlowPolicy, Placed};
 use mcfi_chaos::{Backoff, ChaosInjector, FaultPlan, FaultPoint};
 use serde::Serialize;
 use mcfi_machine::DecodeError;
@@ -1214,9 +1214,8 @@ impl Process {
     /// a fresh update transaction — used to run the same binary under
     /// classic or coarse CFI for the §8.3 comparisons.
     pub fn install_custom_policy(&mut self, policy: &ControlFlowPolicy) {
-        let tary = |addr: u64| policy.tary.get(&addr).copied();
-        let bary = |slot: usize| policy.bary.get(slot).map(|b| b.ecn);
-        self.tables.update_with(tary, bary, || {});
+        let (tary, bary) = policy_lookups(policy);
+        self.tables.update(tary, bary);
         self.updates += 1;
     }
 
@@ -1661,8 +1660,7 @@ impl Process {
             }
         }
 
-        let tary = |addr: u64| policy.tary.get(&addr).copied();
-        let bary = |slot: usize| policy.bary.get(slot).map(|b| b.ecn);
+        let (tary, bary) = policy_lookups(&policy);
         let mem = &mut self.mem;
         self.tables.update_with(tary, bary, || {
             for (slot, addr) in &got_writes {

@@ -476,6 +476,24 @@ mod tests {
     }
 
     #[test]
+    fn an_honest_step_limit_after_a_completed_update_is_not_a_stall() {
+        // An updater dies between the phases, then a later transaction
+        // completes and resyncs every word. A guest that loops forever
+        // then ends at the step limit on consistent tables: that is the
+        // guest's own result, with nothing to heal and nothing to re-run.
+        let popts = ProcessOptions { max_steps: 20_000, ..Default::default() };
+        let looping = "int main(void) { while (1) { } return 0; }";
+        let mut sup = Supervisor::new(boot(looping, popts), RecoveryPolicy::default());
+        let tables = sup.process().tables();
+        drop(tables.bump_version_split());
+        assert!(tables.bump_version().completed);
+        let r = sup.run("__start").expect("runs");
+        assert_eq!(r.outcome, Outcome::StepLimit);
+        assert_eq!(sup.stats().runs, 1, "the step limit was taken for a stall and re-run");
+        assert_eq!(sup.stats().recoveries, 0);
+    }
+
+    #[test]
     fn repeated_dlopen_failures_back_off_and_eventually_ban() {
         // The guest retries dlopen in a loop; the verifier (via fault
         // injection) rejects the library every time. With a quarantine

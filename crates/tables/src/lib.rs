@@ -16,6 +16,18 @@
 //!   then rewrites the Bary table, so concurrent checks observe either the
 //!   wholly-old or wholly-new CFG (linearizability).
 //!
+//! Every write path — [`IdTables::update`], the `bump_version` variants,
+//! `force_version` and `bump_version_split` — is one transaction routine:
+//! a shared opener (update lock, lease stamp, version bump) and commit
+//! (abandoned flag and lease stamp cleared, update count and publication
+//! epoch advanced) around a Tary phase and a Bary phase. Both phases use
+//! one set of per-table helpers (install a policy, re-stamp a version,
+//! read a raw word), picked by the table side, which also fixes the
+//! phase's store ordering. The crash-repair pass and the seeded-bug test
+//! seams reuse the same helpers. On the check side, [`IdTables::check`]
+//! is the retry loop around [`IdTables::check_once`], one speculative
+//! attempt.
+//!
 //! The [`stm`] module contains the alternative synchronization strategies
 //! the paper micro-benchmarks against (TML, a readers-writer lock, and a
 //! compare-and-swap mutex), and [`quiescence`] implements the update-counter

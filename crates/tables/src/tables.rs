@@ -180,7 +180,8 @@ pub(crate) struct ProtocolCore<S: SyncFacade> {
     /// updates buys nothing — paper §5.2).
     update_lock: S::Mutex<()>,
     /// Set when an update transaction was abandoned between its phases
-    /// (updater crash / poisoned `SplitBump`); cleared by repair.
+    /// (updater crash / poisoned `SplitBump`); cleared by repair and by
+    /// the next committed transaction, which rewrites every ID.
     abandoned: S::AtomicBool,
     /// The updater-lease deadline (0 = no lease outstanding). Stamped on
     /// lock acquire and cleared on completion by every update path when a
@@ -257,6 +258,44 @@ impl<S: SyncFacade> TxShards<'_, S> {
         match self {
             TxShards::Own(t) => vec![t],
             TxShards::Shared(v) => v.iter().map(|a| &**a).collect(),
+        }
+    }
+
+    /// Re-stamps `side` of every shard in list order (see
+    /// [`IdTablesAt::restamp`]); returns how many IDs it wrote.
+    fn restamp(&self, side: Side, version: Version, stale_only: bool) -> usize {
+        self.list().iter().map(|shard| shard.restamp(side, version, stale_only)).sum()
+    }
+}
+
+/// Which of a shard's two tables a per-table helper walks. The side also
+/// fixes its phase's store ordering: Tary stores are relaxed (the
+/// weak-ordered `movnti` copy of Fig. 3), Bary stores are Release.
+#[derive(Clone, Copy)]
+enum Side {
+    Tary,
+    Bary,
+}
+
+impl Side {
+    fn order(self) -> Ordering {
+        match self {
+            Side::Tary => Ordering::Relaxed,
+            Side::Bary => Ordering::Release,
+        }
+    }
+
+    /// Re-stamps the ID in `slot` to `version` with this side's store
+    /// ordering, preserving its ECN. Zeros and tombstones pass through
+    /// untouched, and so, when `stale_only` (the repair pass), does an
+    /// ID already at `version`. Returns whether it wrote.
+    fn restamp<A: AtomicU32Ops>(self, slot: &A, version: Version, stale_only: bool) -> bool {
+        match Id::from_word(slot.load(Ordering::Relaxed)) {
+            Some(id) if !stale_only || id.version() != version => {
+                slot.store(Id::encode(id.ecn(), version).word(), self.order());
+                true
+            }
+            _ => false,
         }
     }
 }
@@ -345,12 +384,141 @@ impl<S: SyncFacade> IdTablesAt<S> {
         self.core.shards.lock().iter().filter(|w| w.strong_count() > 0).count()
     }
 
-    /// Marks one committed transaction: bumps the core-wide update count
-    /// (ABA mitigation) and the publication epoch.
-    fn commit_tx(&self) -> u64 {
+    /// The opener every update transaction shares (Fig. 3 lines 1–2):
+    /// takes the update lock, stamps the lease, lets a `version-warp`
+    /// fault fire and installs the next version — or `forced % 2^14`,
+    /// which skips the warp. The lock is held until the guard drops.
+    fn begin_tx(&self, forced: Option<u32>) -> (LockGuard<'_, S, ()>, Version) {
+        let guard = self.core.update_lock.lock();
+        self.stamp_lease();
+        let raw = match forced {
+            Some(raw) => raw % VERSION_LIMIT,
+            None => {
+                self.chaos_warp_version();
+                (self.core.version.load(Ordering::Relaxed) + 1) % VERSION_LIMIT
+            }
+        };
+        self.core.version.store(raw, Ordering::Release);
+        (guard, Version::new(raw))
+    }
+
+    /// The commit every completed update transaction shares. The
+    /// transaction rewrote every live ID at its version, which completes
+    /// any transaction abandoned before it too, so the abandoned flag
+    /// clears along with the lease stamp; then the commit is counted.
+    fn commit_tx(
+        &self,
+        version: Version,
+        tary_targets: usize,
+        bary_branches: usize,
+    ) -> UpdateStats {
+        self.core.abandoned.store(false, Ordering::Release);
+        self.clear_lease_stamp();
+        UpdateStats {
+            version: version.raw(),
+            tary_targets,
+            bary_branches,
+            updates_since_reset: self.count_commit(),
+            completed: true,
+        }
+    }
+
+    /// Counts one committed transaction: bumps the core-wide update count
+    /// (ABA mitigation) and the publication epoch. Returns the count.
+    fn count_commit(&self) -> u64 {
         let updates = self.core.update_count.fetch_add(1, Ordering::Relaxed) + 1;
         self.core.epoch.fetch_add(1, Ordering::Release);
         updates
+    }
+
+    /// Ends a transaction an injected fault killed mid-flight: flags the
+    /// tables abandoned and reports it uncommitted (and uncounted).
+    fn abandon_tx(&self, version: Version, tary_targets: usize) -> UpdateStats {
+        self.core.abandoned.store(true, Ordering::Release);
+        UpdateStats {
+            version: version.raw(),
+            tary_targets,
+            bary_branches: 0,
+            updates_since_reset: self.core.update_count.load(Ordering::Relaxed),
+            completed: false,
+        }
+    }
+
+    /// This shard's `side` table.
+    fn words(&self, side: Side) -> &[S::AtomicU32] {
+        match side {
+            Side::Tary => &self.tary,
+            Side::Bary => &self.bary,
+        }
+    }
+
+    /// This shard's *own* stored `side` word at index `i` (no delta
+    /// fallthrough); 0 out of range. What a delta's install diff reads
+    /// from the base.
+    #[inline]
+    fn raw_word(&self, side: Side, i: usize) -> u32 {
+        self.words(side).get(i).map_or(0, |slot| slot.load(Ordering::Relaxed))
+    }
+
+    /// The install loop of one phase: writes this shard's new `side`
+    /// policy, `ecn_of(i)` being entry `i`'s ECN or `None`. A private
+    /// table (or the image base) stores the encoded IDs directly; a delta
+    /// shard diffs against the base — equal words compress to 0 (fall
+    /// through), revoked base targets get the [`TOMBSTONE`]. Returns the
+    /// policy's entry count.
+    fn install(
+        &self,
+        side: Side,
+        ecn_of: impl Fn(usize) -> Option<u32>,
+        version: Version,
+    ) -> usize {
+        let mut installed = 0;
+        for (i, slot) in self.words(side).iter().enumerate() {
+            let word = match ecn_of(i) {
+                Some(ecn) => {
+                    installed += 1;
+                    let encoded = Id::encode(Ecn::new(ecn), version).word();
+                    match &self.base {
+                        Some(b) if b.raw_word(side, i) == encoded => 0,
+                        _ => encoded,
+                    }
+                }
+                None => match &self.base {
+                    Some(b) if b.raw_word(side, i) != 0 => TOMBSTONE,
+                    _ => 0,
+                },
+            };
+            slot.store(word, side.order());
+        }
+        installed
+    }
+
+    /// Re-stamps every word of this shard's `side` table (see
+    /// [`Side::restamp`]); returns how many IDs it wrote.
+    fn restamp(&self, side: Side, version: Version, stale_only: bool) -> usize {
+        self.words(side).iter().filter(|slot| side.restamp(*slot, version, stale_only)).count()
+    }
+
+    /// One phase of a CFG-changing transaction: this shard installs its
+    /// new `side` policy and every sibling shard is re-stamped in place,
+    /// so one version bump retargets a whole shared image. Returns the
+    /// policy's entry count.
+    fn install_phase(
+        &self,
+        shards: &TxShards<'_, S>,
+        side: Side,
+        ecn_of: impl Fn(usize) -> Option<u32>,
+        version: Version,
+    ) -> usize {
+        let mut installed = 0;
+        for shard in shards.list() {
+            if std::ptr::eq(shard, self) {
+                installed = self.install(side, &ecn_of, version);
+            } else {
+                shard.restamp(side, version, false);
+            }
+        }
+        installed
     }
 
     /// Attaches a fresh all-zero delta shard layered over `self` (the
@@ -382,21 +550,17 @@ impl<S: SyncFacade> IdTablesAt<S> {
     #[doc(hidden)]
     pub fn attach_prestamped_stale_for_tests(self: &Arc<Self>) -> Arc<IdTablesAt<S>> {
         // BUG: no update lock held across the read + copy + register.
-        let stale =
-            Version::new(self.core.version.load(Ordering::Acquire) % VERSION_LIMIT);
+        let stale = self.current_version();
         let delta = Arc::new(IdTablesAt::with_core(
             self.config(),
             Arc::clone(&self.core),
             Some(Arc::clone(self)),
         ));
-        for (i, slot) in delta.tary.iter().enumerate() {
-            if let Some(id) = Id::from_word(self.raw_tary_word(i)) {
-                slot.store(Id::encode(id.ecn(), stale).word(), Ordering::Relaxed);
-            }
-        }
-        for (s, slot) in delta.bary.iter().enumerate() {
-            if let Some(id) = Id::from_word(self.raw_bary_word(s)) {
-                slot.store(Id::encode(id.ecn(), stale).word(), Ordering::Release);
+        for side in [Side::Tary, Side::Bary] {
+            for (i, slot) in delta.words(side).iter().enumerate() {
+                if let Some(id) = Id::from_word(self.raw_word(side, i)) {
+                    slot.store(Id::encode(id.ecn(), stale).word(), side.order());
+                }
             }
         }
         delta.register_shard();
@@ -437,6 +601,15 @@ impl<S: SyncFacade> IdTablesAt<S> {
         if let Some(distance) = self.chaos_fire(FaultPoint::VersionWarp) {
             let warped = (VERSION_LIMIT - 1).saturating_sub(distance as u32 % VERSION_LIMIT);
             self.core.version.store(warped, Ordering::Release);
+        }
+    }
+
+    /// An injected `updater-stall` wedges the updater here — lock held,
+    /// tables version-skewed — for `param` microseconds. Concurrent
+    /// bounded checks must ride it out by retrying.
+    fn chaos_stall(&self) {
+        if let Some(micros) = self.chaos_fire(FaultPoint::UpdaterStall) {
+            std::thread::sleep(std::time::Duration::from_micros(micros));
         }
     }
 
@@ -496,14 +669,6 @@ impl<S: SyncFacade> IdTablesAt<S> {
     /// mutex check per (rare) update transaction.
     pub fn set_lease(&self, config: LeaseConfig) {
         *self.core.lease.lock() = Some(config);
-    }
-
-    /// Removes the lease configuration and clears any outstanding stamp.
-    pub fn clear_lease(&self) {
-        let was = self.core.lease.lock().take();
-        if was.is_some() {
-            self.core.lease_deadline.store(0, Ordering::Release);
-        }
     }
 
     /// The currently stamped lease deadline (0 = no lease outstanding).
@@ -568,7 +733,8 @@ impl<S: SyncFacade> IdTablesAt<S> {
     }
 
     /// Whether an update transaction is known to have been abandoned
-    /// between its phases and not yet repaired.
+    /// between its phases and neither repaired nor followed by a
+    /// committed transaction.
     pub fn has_abandoned(&self) -> bool {
         self.core.abandoned.load(Ordering::Acquire)
     }
@@ -628,39 +794,10 @@ impl<S: SyncFacade> IdTablesAt<S> {
     /// runtime condition.
     pub fn check(&self, bary_slot: usize, target: u64) -> Result<Ecn, CfiViolation> {
         loop {
-            let branch_word = self.bary_word_at(bary_slot);
-            let target_word = self.load_tary_word(target);
-            if branch_word == target_word {
-                // Case 1: single comparison completes all three checks.
-                let id = Id::from_word(branch_word).expect("bary slots always hold valid ids");
-                return Ok(id.ecn());
+            if let Some(verdict) = self.check_once(bary_slot, target) {
+                return verdict;
             }
-            let Some(target_id) = Id::from_word(target_word) else {
-                // Case 2: invalid target ID.
-                let kind = if !target.is_multiple_of(4) {
-                    ViolationKind::UnalignedTarget
-                } else {
-                    ViolationKind::NotATarget
-                };
-                return Err(CfiViolation { bary_slot, target, kind });
-            };
-            let branch_id =
-                Id::from_word(branch_word).expect("bary slots always hold valid ids");
-            if branch_id.version() != target_id.version() {
-                // Case 3: an update transaction is in flight; retry.
-                self.retries.fetch_add(1, Ordering::Relaxed);
-                S::spin_hint();
-                continue;
-            }
-            // Case 4: same version, different equivalence class.
-            return Err(CfiViolation {
-                bary_slot,
-                target,
-                kind: ViolationKind::EcnMismatch {
-                    branch: branch_id.ecn(),
-                    target: target_id.ecn(),
-                },
-            });
+            S::spin_hint();
         }
     }
 
@@ -746,39 +883,18 @@ impl<S: SyncFacade> IdTablesAt<S> {
     /// image the abandoned transaction had been sweeping *every* shard,
     /// so the repair sweeps them all too — same phase discipline.
     fn repair_locked(&self, _guard: &LockGuard<'_, S, ()>) -> bool {
-        let version = Version::new(self.core.version.load(Ordering::Acquire) % VERSION_LIMIT);
+        let version = self.current_version();
         let shards = self.tx_shards();
-        let shards = shards.list();
-        let mut repaired = false;
         // Phase 1: finish the Tary side (a torn stream leaves stale
         // entries here too), preserving ECNs.
-        for shard in &shards {
-            for slot in &shard.tary {
-                let word = slot.load(Ordering::Relaxed);
-                if let Some(id) = Id::from_word(word) {
-                    if id.version() != version {
-                        repaired = true;
-                        slot.store(Id::encode(id.ecn(), version).word(), Ordering::Relaxed);
-                    }
-                }
-            }
-        }
+        let mut stale = shards.restamp(Side::Tary, version, true);
         S::fence(Ordering::SeqCst);
         // Phase 2: finish the Bary side.
-        for shard in &shards {
-            for slot in &shard.bary {
-                let word = slot.load(Ordering::Relaxed);
-                if let Some(id) = Id::from_word(word) {
-                    if id.version() != version {
-                        repaired = true;
-                        slot.store(Id::encode(id.ecn(), version).word(), Ordering::Release);
-                    }
-                }
-            }
-        }
+        stale += shards.restamp(Side::Bary, version, true);
+        let repaired = stale > 0;
         if repaired {
             self.repairs.fetch_add(1, Ordering::Relaxed);
-            self.commit_tx();
+            self.count_commit();
         }
         self.core.abandoned.store(false, Ordering::Release);
         // The repair completed the abandoned transaction, so its lease —
@@ -800,10 +916,12 @@ impl<S: SyncFacade> IdTablesAt<S> {
         let branch_word = self.bary_word_at(bary_slot);
         let target_word = self.load_tary_word(target);
         if branch_word == target_word {
+            // Case 1: single comparison completes all three checks.
             let id = Id::from_word(branch_word).expect("bary slots always hold valid ids");
             return Some(Ok(id.ecn()));
         }
         let Some(target_id) = Id::from_word(target_word) else {
+            // Case 2: invalid target ID.
             let kind = if !target.is_multiple_of(4) {
                 ViolationKind::UnalignedTarget
             } else {
@@ -813,9 +931,11 @@ impl<S: SyncFacade> IdTablesAt<S> {
         };
         let branch_id = Id::from_word(branch_word).expect("bary slots always hold valid ids");
         if branch_id.version() != target_id.version() {
+            // Case 3: an update transaction is in flight; retry.
             self.retries.fetch_add(1, Ordering::Relaxed);
             return None;
         }
+        // Case 4: same version, different equivalence class.
         Some(Err(CfiViolation {
             bary_slot,
             target,
@@ -876,14 +996,8 @@ impl<S: SyncFacade> IdTablesAt<S> {
         bary_ecn: impl Fn(usize) -> Option<u32>,
         between: impl FnOnce(),
     ) -> UpdateStats {
-        let _guard = self.core.update_lock.lock();
-        self.stamp_lease();
-        self.chaos_warp_version();
-        let next = (self.core.version.load(Ordering::Relaxed) + 1) % VERSION_LIMIT;
-        self.core.version.store(next, Ordering::Release);
-        let version = Version::new(next);
+        let (_guard, version) = self.begin_tx(None);
         let shards = self.tx_shards();
-        let shards = shards.list();
 
         // Phase 1: construct and install the new Tary table. Entry i
         // covers code address 4*i. Plain per-entry atomic stores model the
@@ -894,14 +1008,8 @@ impl<S: SyncFacade> IdTablesAt<S> {
         // re-stamped in place — one version bump retargets them all. The
         // base is always first in the shard list, so a delta's diff
         // compares against already-restamped base words.
-        let mut tary_targets = 0;
-        for shard in &shards {
-            if std::ptr::eq(*shard, self) {
-                tary_targets = self.install_tary(&tary_ecn, version);
-            } else {
-                shard.restamp_tary(version);
-            }
-        }
+        let tary_targets =
+            self.install_phase(&shards, Side::Tary, |i| tary_ecn(i as u64 * 4), version);
 
         // The memory write barrier separating the two phases (Fig. 3 line
         // 5): all Tary writes become visible before any Bary write.
@@ -911,122 +1019,11 @@ impl<S: SyncFacade> IdTablesAt<S> {
         // write barrier (§5.2).
         between();
         S::fence(Ordering::SeqCst);
-
-        // An injected `updater-stall` wedges the updater here — lock
-        // held, tables version-skewed — for `param` microseconds.
-        // Concurrent bounded checks must ride it out by retrying.
-        if let Some(micros) = self.chaos_fire(FaultPoint::UpdaterStall) {
-            std::thread::sleep(std::time::Duration::from_micros(micros));
-        }
+        self.chaos_stall();
 
         // Phase 2: rewrite the Bary table.
-        let mut bary_branches = 0;
-        for shard in &shards {
-            if std::ptr::eq(*shard, self) {
-                bary_branches = self.install_bary(&bary_ecn, version);
-            } else {
-                shard.restamp_bary(version);
-            }
-        }
-
-        self.clear_lease_stamp();
-        let updates = self.commit_tx();
-        UpdateStats {
-            version: next,
-            tary_targets,
-            bary_branches,
-            updates_since_reset: updates,
-            completed: true,
-        }
-    }
-
-    /// The Tary install loop of an update transaction: writes this
-    /// shard's new policy words. A private table (or the image base)
-    /// stores the encoded IDs directly; a delta shard diffs against the
-    /// base — equal words compress to 0 (fall through), revoked base
-    /// targets get the [`TOMBSTONE`]. Returns the policy's target count.
-    fn install_tary(&self, tary_ecn: &impl Fn(u64) -> Option<u32>, version: Version) -> usize {
-        let mut targets = 0;
-        for (i, slot) in self.tary.iter().enumerate() {
-            let word = match tary_ecn((i as u64) * 4) {
-                Some(ecn) => {
-                    targets += 1;
-                    let encoded = Id::encode(Ecn::new(ecn), version).word();
-                    match &self.base {
-                        Some(b) if b.raw_tary_word(i) == encoded => 0,
-                        _ => encoded,
-                    }
-                }
-                None => match &self.base {
-                    Some(b) if b.raw_tary_word(i) != 0 => TOMBSTONE,
-                    _ => 0,
-                },
-            };
-            slot.store(word, Ordering::Relaxed);
-        }
-        targets
-    }
-
-    /// The Bary install loop (phase 2 counterpart of
-    /// [`IdTablesAt::install_tary`]); Release stores as in Fig. 3.
-    fn install_bary(&self, bary_ecn: &impl Fn(usize) -> Option<u32>, version: Version) -> usize {
-        let mut branches = 0;
-        for (slot_idx, slot) in self.bary.iter().enumerate() {
-            let word = match bary_ecn(slot_idx) {
-                Some(ecn) => {
-                    branches += 1;
-                    let encoded = Id::encode(Ecn::new(ecn), version).word();
-                    match &self.base {
-                        Some(b) if b.raw_bary_word(slot_idx) == encoded => 0,
-                        _ => encoded,
-                    }
-                }
-                None => match &self.base {
-                    Some(b) if b.raw_bary_word(slot_idx) != 0 => TOMBSTONE,
-                    _ => 0,
-                },
-            };
-            slot.store(word, Ordering::Release);
-        }
-        branches
-    }
-
-    /// Re-stamps this shard's existing valid Tary IDs to `version`
-    /// (preserving ECNs); zeros and tombstones pass through untouched.
-    fn restamp_tary(&self, version: Version) -> usize {
-        let mut stamped = 0;
-        for slot in &self.tary {
-            if let Some(id) = Id::from_word(slot.load(Ordering::Relaxed)) {
-                stamped += 1;
-                slot.store(Id::encode(id.ecn(), version).word(), Ordering::Relaxed);
-            }
-        }
-        stamped
-    }
-
-    /// Bary-side counterpart of [`IdTablesAt::restamp_tary`].
-    fn restamp_bary(&self, version: Version) -> usize {
-        let mut stamped = 0;
-        for slot in &self.bary {
-            if let Some(id) = Id::from_word(slot.load(Ordering::Relaxed)) {
-                stamped += 1;
-                slot.store(Id::encode(id.ecn(), version).word(), Ordering::Release);
-            }
-        }
-        stamped
-    }
-
-    /// This shard's *own* stored Tary word (no delta fallthrough); 0 out
-    /// of range. What a delta's install diff reads from the base.
-    #[inline]
-    fn raw_tary_word(&self, idx: usize) -> u32 {
-        self.tary.get(idx).map_or(0, |s| s.load(Ordering::Relaxed))
-    }
-
-    /// This shard's *own* stored Bary word; 0 out of range.
-    #[inline]
-    fn raw_bary_word(&self, slot: usize) -> u32 {
-        self.bary.get(slot).map_or(0, |s| s.load(Ordering::Relaxed))
+        let bary_branches = self.install_phase(&shards, Side::Bary, bary_ecn, version);
+        self.commit_tx(version, tary_targets, bary_branches)
     }
 
     /// Re-stamps every existing ID with a fresh version, preserving ECNs.
@@ -1036,56 +1033,43 @@ impl<S: SyncFacade> IdTablesAt<S> {
     /// that updates the version numbers of all IDs in the ID tables (but
     /// preserving the ECNs)".
     pub fn bump_version(&self) -> UpdateStats {
-        self.restamp(0, std::time::Duration::ZERO)
+        self.bump_version_paced(0, std::time::Duration::ZERO)
     }
 
     /// Like [`IdTables::bump_version`], but paced: sleeps `pause` after
-    /// every `chunk` entries. This models an updater running at the same
-    /// (simulated) clock as the checking threads rather than at native
-    /// host speed — the table rewrite of the paper's Fig. 6 experiment
-    /// takes time proportional to the table size *on the same machine*,
-    /// so checks genuinely overlap the mixed-version window and retry.
-    pub fn bump_version_paced(&self, chunk: usize, pause: std::time::Duration) -> UpdateStats {
-        self.restamp(chunk, pause)
-    }
-
-    /// The version re-stamp all bump variants share. This is the path the
+    /// every `chunk` entries (never, for a `chunk` of 0). This models an
+    /// updater running at the same (simulated) clock as the checking
+    /// threads rather than at native host speed — the table rewrite of
+    /// the paper's Fig. 6 experiment takes time proportional to the table
+    /// size *on the same machine*, so checks genuinely overlap the
+    /// mixed-version window and retry.
+    ///
+    /// Every bump variant runs this re-stamp, and it is the path the
     /// crash-shaped faults (`updater-crash`, `torn-tary`) instrument:
     /// because a re-stamp preserves ECNs by construction, an abandoned one
     /// is always repairable by completing the Bary phase
     /// ([`IdTables::repair_abandoned`]) — unlike a CFG-changing
     /// [`IdTables::update`], whose unfinished half cannot be reconstructed.
-    fn restamp(&self, chunk: usize, pause: std::time::Duration) -> UpdateStats {
-        let _guard = self.core.update_lock.lock();
-        self.stamp_lease();
-        self.chaos_warp_version();
-        let next = (self.core.version.load(Ordering::Relaxed) + 1) % VERSION_LIMIT;
-        self.core.version.store(next, Ordering::Release);
-        let version = Version::new(next);
+    pub fn bump_version_paced(&self, chunk: usize, pause: std::time::Duration) -> UpdateStats {
+        let (_guard, version) = self.begin_tx(None);
         let torn_after = self.chaos_fire(FaultPoint::TornTary);
         let shards = self.tx_shards();
-        let shards = shards.list();
         let mut tary_targets = 0;
         // `flat` indexes the concatenated Tary stream across shards, so a
         // `torn-tary` fault parameter addresses a tear point anywhere in
         // a shared image's sweep (and degenerates to the plain entry
         // index for a private table).
         let mut flat: u64 = 0;
-        for shard in &shards {
+        for shard in shards.list() {
             for (i, slot) in shard.tary.iter().enumerate() {
                 if torn_after == Some(flat) {
                     // The Tary stream tears here: entries before `flat`
                     // carry the new version, the rest (and all of Bary)
                     // the old one.
-                    self.core.abandoned.store(true, Ordering::Release);
-                    return self.aborted_stats(next, tary_targets, 0);
+                    return self.abandon_tx(version, tary_targets);
                 }
                 flat += 1;
-                let word = slot.load(Ordering::Relaxed);
-                if let Some(id) = Id::from_word(word) {
-                    tary_targets += 1;
-                    slot.store(Id::encode(id.ecn(), version).word(), Ordering::Relaxed);
-                }
+                tary_targets += usize::from(Side::Tary.restamp(slot, version, false));
                 if chunk > 0 && i % chunk == chunk - 1 {
                     // Yield the core: on few-core hosts this is what lets
                     // the checking threads actually observe the mixed-
@@ -1100,37 +1084,11 @@ impl<S: SyncFacade> IdTablesAt<S> {
             // The updater dies between the phases: Tary wholly new,
             // Bary wholly old. The lock is released when the guard drops,
             // so an escalating checker can get in and repair.
-            self.core.abandoned.store(true, Ordering::Release);
-            return self.aborted_stats(next, tary_targets, 0);
+            return self.abandon_tx(version, tary_targets);
         }
-        if let Some(micros) = self.chaos_fire(FaultPoint::UpdaterStall) {
-            std::thread::sleep(std::time::Duration::from_micros(micros));
-        }
-        let mut bary_branches = 0;
-        for shard in &shards {
-            bary_branches += shard.restamp_bary(version);
-        }
-        self.clear_lease_stamp();
-        let updates = self.commit_tx();
-        UpdateStats {
-            version: next,
-            tary_targets,
-            bary_branches,
-            updates_since_reset: updates,
-            completed: true,
-        }
-    }
-
-    /// Stats for a fault-aborted transaction (not counted as an update:
-    /// it never committed).
-    fn aborted_stats(&self, next: u32, tary_targets: usize, bary_branches: usize) -> UpdateStats {
-        UpdateStats {
-            version: next,
-            tary_targets,
-            bary_branches,
-            updates_since_reset: self.core.update_count.load(Ordering::Relaxed),
-            completed: false,
-        }
+        self.chaos_stall();
+        let bary_branches = shards.restamp(Side::Bary, version, false);
+        self.commit_tx(version, tary_targets, bary_branches)
     }
 
     /// Installs `raw % 2^14` as the global version and re-stamps every
@@ -1142,22 +1100,12 @@ impl<S: SyncFacade> IdTablesAt<S> {
     /// makes that approach outright infeasible — see
     /// [`crate::wide::WideIdTables::force_version`]).
     pub fn force_version(&self, raw: u32) {
-        let _guard = self.core.update_lock.lock();
-        self.stamp_lease();
-        let forced = raw % VERSION_LIMIT;
-        self.core.version.store(forced, Ordering::Release);
-        let version = Version::new(forced);
+        let (_guard, version) = self.begin_tx(Some(raw));
         let shards = self.tx_shards();
-        let shards = shards.list();
-        for shard in &shards {
-            shard.restamp_tary(version);
-        }
+        let tary_targets = shards.restamp(Side::Tary, version, false);
         S::fence(Ordering::SeqCst);
-        for shard in &shards {
-            shard.restamp_bary(version);
-        }
-        self.clear_lease_stamp();
-        self.commit_tx();
+        let bary_branches = shards.restamp(Side::Bary, version, false);
+        self.commit_tx(version, tary_targets, bary_branches);
     }
 
     /// Begins a version re-stamp and returns after the **Tary phase**:
@@ -1168,18 +1116,10 @@ impl<S: SyncFacade> IdTablesAt<S> {
     /// The update lock is held by the returned guard, exactly as the real
     /// update transaction holds it across both phases.
     pub fn bump_version_split(&self) -> SplitBump<'_, S> {
-        let guard = self.core.update_lock.lock();
-        self.stamp_lease();
-        self.chaos_warp_version();
-        let next = (self.core.version.load(Ordering::Relaxed) + 1) % VERSION_LIMIT;
-        self.core.version.store(next, Ordering::Release);
-        let version = Version::new(next);
+        let (guard, version) = self.begin_tx(None);
         // The registry cannot change while `guard` is held, so finish()
         // resolving the shard list again sees the same set.
-        let shards = self.tx_shards();
-        for shard in &shards.list() {
-            shard.restamp_tary(version);
-        }
+        self.tx_shards().restamp(Side::Tary, version, false);
         S::fence(Ordering::SeqCst);
         SplitBump { tables: self, version, finished: false, _guard: guard }
     }
@@ -1237,33 +1177,12 @@ impl<S: SyncFacade> IdTablesAt<S> {
     /// trace); nothing else may call it.
     #[doc(hidden)]
     pub fn bump_version_bary_first_for_tests(&self) -> UpdateStats {
-        let _guard = self.core.update_lock.lock();
-        let next = (self.core.version.load(Ordering::Relaxed) + 1) % VERSION_LIMIT;
-        self.core.version.store(next, Ordering::Release);
-        let version = Version::new(next);
-        let mut bary_branches = 0;
-        for slot in &self.bary {
-            if let Some(id) = Id::from_word(slot.load(Ordering::Relaxed)) {
-                bary_branches += 1;
-                slot.store(Id::encode(id.ecn(), version).word(), Ordering::Release);
-            }
-        }
+        let (_guard, version) = self.begin_tx(None);
+        // BUG: the Bary phase runs before the Tary phase.
+        let bary_branches = self.restamp(Side::Bary, version, false);
         S::fence(Ordering::SeqCst);
-        let mut tary_targets = 0;
-        for slot in &self.tary {
-            if let Some(id) = Id::from_word(slot.load(Ordering::Relaxed)) {
-                tary_targets += 1;
-                slot.store(Id::encode(id.ecn(), version).word(), Ordering::Relaxed);
-            }
-        }
-        let updates = self.commit_tx();
-        UpdateStats {
-            version: next,
-            tary_targets,
-            bary_branches,
-            updates_since_reset: updates,
-            completed: true,
-        }
+        let tary_targets = self.restamp(Side::Tary, version, false);
+        self.commit_tx(version, tary_targets, bary_branches)
     }
 
     /// **Deliberately buggy** CFG-changing update that **skips the version
@@ -1279,38 +1198,12 @@ impl<S: SyncFacade> IdTablesAt<S> {
         bary_ecn: impl Fn(usize) -> Option<u32>,
     ) -> UpdateStats {
         let _guard = self.core.update_lock.lock();
-        let version = Version::new(self.core.version.load(Ordering::Relaxed) % VERSION_LIMIT);
-        let mut tary_targets = 0;
-        for (i, slot) in self.tary.iter().enumerate() {
-            let word = match tary_ecn((i as u64) * 4) {
-                Some(ecn) => {
-                    tary_targets += 1;
-                    Id::encode(Ecn::new(ecn), version).word()
-                }
-                None => 0,
-            };
-            slot.store(word, Ordering::Relaxed);
-        }
+        // BUG: no version bump.
+        let version = self.current_version();
+        let tary_targets = self.install(Side::Tary, |i| tary_ecn(i as u64 * 4), version);
         S::fence(Ordering::SeqCst);
-        let mut bary_branches = 0;
-        for (slot_idx, slot) in self.bary.iter().enumerate() {
-            let word = match bary_ecn(slot_idx) {
-                Some(ecn) => {
-                    bary_branches += 1;
-                    Id::encode(Ecn::new(ecn), version).word()
-                }
-                None => 0,
-            };
-            slot.store(word, Ordering::Release);
-        }
-        let updates = self.commit_tx();
-        UpdateStats {
-            version: version.raw(),
-            tary_targets,
-            bary_branches,
-            updates_since_reset: updates,
-            completed: true,
-        }
+        let bary_branches = self.install(Side::Bary, bary_ecn, version);
+        self.commit_tx(version, tary_targets, bary_branches)
     }
 
     /// **Deliberately buggy** version re-stamp that stamps the lease
@@ -1327,33 +1220,13 @@ impl<S: SyncFacade> IdTablesAt<S> {
         let next = (self.core.version.load(Ordering::Relaxed) + 1) % VERSION_LIMIT;
         self.core.version.store(next, Ordering::Release);
         let version = Version::new(next);
-        let mut tary_targets = 0;
-        for slot in &self.tary {
-            if let Some(id) = Id::from_word(slot.load(Ordering::Relaxed)) {
-                tary_targets += 1;
-                slot.store(Id::encode(id.ecn(), version).word(), Ordering::Relaxed);
-            }
-        }
+        let tary_targets = self.restamp(Side::Tary, version, false);
         // BUG: the stamp lands here, after the Tary writes — a crash
         // above this line is invisible to the watchdog.
         self.stamp_lease();
         S::fence(Ordering::SeqCst);
-        let mut bary_branches = 0;
-        for slot in &self.bary {
-            if let Some(id) = Id::from_word(slot.load(Ordering::Relaxed)) {
-                bary_branches += 1;
-                slot.store(Id::encode(id.ecn(), version).word(), Ordering::Release);
-            }
-        }
-        self.clear_lease_stamp();
-        let updates = self.commit_tx();
-        UpdateStats {
-            version: next,
-            tary_targets,
-            bary_branches,
-            updates_since_reset: updates,
-            completed: true,
-        }
+        let bary_branches = self.restamp(Side::Bary, version, false);
+        self.commit_tx(version, tary_targets, bary_branches)
     }
 }
 
@@ -1377,12 +1250,8 @@ impl<S: SyncFacade> std::fmt::Debug for SplitBump<'_, S> {
 impl<S: SyncFacade> SplitBump<'_, S> {
     /// Runs the Bary phase, committing the new version.
     pub fn finish(mut self) {
-        let shards = self.tables.tx_shards();
-        for shard in &shards.list() {
-            shard.restamp_bary(self.version);
-        }
-        self.tables.clear_lease_stamp();
-        self.tables.commit_tx();
+        self.tables.tx_shards().restamp(Side::Bary, self.version, false);
+        self.tables.commit_tx(self.version, 0, 0); // a split bump reports no stats
         self.finished = true;
     }
 }
@@ -1435,6 +1304,7 @@ impl<S: SyncFacade> TaryView<'_, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::sync::atomic::AtomicU32;
     use std::sync::{Arc, Barrier};
 
@@ -1655,6 +1525,30 @@ mod tests {
         // The repaired tables enforce the original policy.
         assert!(t.check(1, 16).is_ok());
         assert!(t.check(0, 16).is_err());
+    }
+
+    #[test]
+    fn a_committed_transaction_clears_the_abandoned_flag() {
+        let t = demo_tables();
+        for commit in 0..4 {
+            drop(t.bump_version_split()); // updater "crashes" between phases
+            assert!(t.has_abandoned());
+            // Any later completed transaction rewrites every ID at a fresh
+            // version, so nothing is left abandoned.
+            match commit {
+                0 => {
+                    let stats = t.update(|a| matches!(a, 8 | 16 | 20).then_some(2), |_| Some(2));
+                    assert!(stats.completed);
+                }
+                1 => assert!(t.bump_version().completed),
+                2 => t.force_version(VERSION_LIMIT - 1),
+                _ => t.bump_version_split().finish(),
+            }
+            assert!(!t.has_abandoned(), "commit kind {commit} left the flag set");
+            assert!(!t.repair_abandoned(), "nothing was left to repair");
+        }
+        assert_eq!(t.repair_count(), 0);
+        assert_eq!(t.check(0, 16), Ok(Ecn::new(2)), "the update's policy holds");
     }
 
     #[test]
@@ -1907,5 +1801,258 @@ mod tests {
         }
         assert!(t.check(0, 4).is_ok());
         assert_eq!(t.current_version(), Version::new((VERSION_LIMIT + 5) % VERSION_LIMIT));
+    }
+
+    /// What one table entry holds in the reference model, version aside.
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    enum Cell {
+        Zero,
+        Tomb,
+        Id(u32),
+    }
+
+    impl Cell {
+        fn word(self, version: u32) -> u32 {
+            match self {
+                Cell::Zero => 0,
+                Cell::Tomb => TOMBSTONE,
+                Cell::Id(ecn) => Id::encode(Ecn::new(ecn), Version::new(version)).word(),
+            }
+        }
+    }
+
+    #[derive(Clone)]
+    struct ModelShard {
+        tary: Vec<Cell>,
+        bary: Vec<Cell>,
+        repairs: u64,
+    }
+
+    /// The flat reference model: one version and commit count for the
+    /// whole image, and the cells of every shard (index 0 is the private
+    /// table or the image base, 1 and 2 the deltas; `None` is detached).
+    struct Model {
+        version: u32,
+        commits: u64,
+        shards: Vec<Option<ModelShard>>,
+    }
+
+    impl Model {
+        fn live(&self) -> impl Iterator<Item = &ModelShard> {
+            self.shards.iter().flatten()
+        }
+
+        fn commit(&mut self, version: u32) {
+            self.version = version % VERSION_LIMIT;
+            self.commits += 1;
+        }
+
+        /// The cell a check reads: the shard's own, or the base's where a
+        /// delta holds 0.
+        fn effective(&self, k: usize, side: usize, i: usize) -> Option<Cell> {
+            let cells = |k: usize| {
+                let s = self.shards[k].as_ref().expect("live shard");
+                if side == 0 { &s.tary } else { &s.bary }
+            };
+            match cells(k).get(i)? {
+                Cell::Zero if k > 0 => Some(cells(0)[i]),
+                own => Some(*own),
+            }
+        }
+    }
+
+    const MODEL_TABLES: TablesConfig = TablesConfig { code_size: 64, bary_slots: 4 };
+
+    /// A sparse random policy over `len` entries: about one entry in
+    /// `1 << sparsity` gets one of three ECNs, so a delta's policy often
+    /// repeats or revokes a base entry.
+    fn sparse_policy(rng: &mut u64, len: usize, sparsity: u32) -> Vec<Option<u32>> {
+        (0..len)
+            .map(|_| {
+                *rng ^= *rng << 13;
+                *rng ^= *rng >> 7;
+                *rng ^= *rng << 17;
+                rng.is_multiple_of(1 << sparsity).then_some((*rng >> 8) as u32 % 3)
+            })
+            .collect()
+    }
+
+    /// Checks every live shard against the model: raw words (0 where a
+    /// delta matches the base, the tombstone where it revokes a base
+    /// target), effective words, every `check` verdict and the counters.
+    fn verify(model: &Model, shards: &[Option<Arc<IdTables>>]) -> Result<(), TestCaseError> {
+        for (k, (t, m)) in shards.iter().zip(&model.shards).enumerate() {
+            prop_assert_eq!(t.is_some(), m.is_some());
+            let (Some(t), Some(m)) = (t, m) else { continue };
+            prop_assert_eq!(t.current_version(), Version::new(model.version));
+            prop_assert_eq!(t.updates_since_reset(), model.commits);
+            prop_assert_eq!(t.publication_epoch(), model.commits);
+            prop_assert!(!t.has_abandoned());
+            prop_assert_eq!(t.repair_count(), m.repairs);
+            for (side, words, cells) in [(0, &t.tary, &m.tary), (1, &t.bary, &m.bary)] {
+                for (i, (word, cell)) in words.iter().zip(cells).enumerate() {
+                    let raw = cell.word(model.version);
+                    let stored = word.load(Ordering::Relaxed);
+                    prop_assert_eq!(stored, raw, "shard {} side {} raw {}", k, side, i);
+                    let eff = model.effective(k, side, i).expect("in range").word(model.version);
+                    let read = if side == 0 { t.tary_word(4 * i as u64) } else { t.bary_word(i) };
+                    prop_assert_eq!(read, eff, "shard {} side {} effective {}", k, side, i);
+                }
+            }
+            for slot in 0..MODEL_TABLES.bary_slots {
+                let Some(Cell::Id(branch)) = model.effective(k, 1, slot) else { continue };
+                for target in 0..MODEL_TABLES.code_size as u64 + 4 {
+                    let expected = if target % 4 != 0 {
+                        Err(ViolationKind::UnalignedTarget)
+                    } else {
+                        match model.effective(k, 0, target as usize / 4) {
+                            Some(Cell::Id(ecn)) if ecn == branch => Ok(Ecn::new(ecn)),
+                            Some(Cell::Id(ecn)) => Err(ViolationKind::EcnMismatch {
+                                branch: Ecn::new(branch),
+                                target: Ecn::new(ecn),
+                            }),
+                            _ => Err(ViolationKind::NotATarget),
+                        }
+                    };
+                    let verdict = t.check(slot, target).map_err(|v| v.kind);
+                    prop_assert_eq!(verdict, expected, "shard {} check({}, {})", k, slot, target);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Runs `ops` on a private table or on a shared image with two
+    /// deltas, checking the tables against the model after every step.
+    fn run_model(shared: bool, ops: &[(u8, u64)]) -> Result<(), TestCaseError> {
+        let image = shared.then(|| crate::SharedTables::new(MODEL_TABLES));
+        let mut shards: Vec<Option<Arc<IdTables>>> = match &image {
+            Some(img) => vec![Some(Arc::clone(img.base())), Some(img.attach()), Some(img.attach())],
+            None => vec![Some(Arc::new(IdTables::new(MODEL_TABLES)))],
+        };
+        let blank = ModelShard {
+            tary: vec![Cell::Zero; MODEL_TABLES.code_size / 4],
+            bary: vec![Cell::Zero; MODEL_TABLES.bary_slots],
+            repairs: 0,
+        };
+        let mut model =
+            Model { version: 0, commits: 0, shards: vec![Some(blank.clone()); shards.len()] };
+        for &(op, seed) in ops {
+            let live: Vec<usize> = (0..shards.len()).filter(|&k| shards[k].is_some()).collect();
+            let k = live[seed as usize % live.len()];
+            let t = Arc::clone(shards[k].as_ref().expect("live"));
+            let next = model.version + 1;
+            match op {
+                // A CFG-changing update from shard `k`.
+                0 | 1 => {
+                    let mut rng = seed | 1;
+                    let tary = sparse_policy(&mut rng, blank.tary.len(), 1 + u32::from(op));
+                    let bary = sparse_policy(&mut rng, blank.bary.len(), 1);
+                    let stats = t.update(|a| tary[a as usize / 4], |s| bary[s]);
+                    model.commit(next);
+                    let count = |p: &[Option<u32>]| p.iter().flatten().count();
+                    prop_assert_eq!(stats, UpdateStats {
+                        version: model.version,
+                        tary_targets: count(&tary),
+                        bary_branches: count(&bary),
+                        updates_since_reset: model.commits,
+                        completed: true,
+                    });
+                    let base = model.shards[0].clone().expect("the base never detaches");
+                    let cells = |policy: &[Option<u32>], base: &[Cell]| -> Vec<Cell> {
+                        policy
+                            .iter()
+                            .zip(base)
+                            .map(|(p, b)| match (*p, k) {
+                                (Some(ecn), 0) => Cell::Id(ecn),
+                                (None, 0) => Cell::Zero,
+                                (Some(ecn), _) if *b == Cell::Id(ecn) => Cell::Zero,
+                                (Some(ecn), _) => Cell::Id(ecn),
+                                (None, _) if *b != Cell::Zero => Cell::Tomb,
+                                (None, _) => Cell::Zero,
+                            })
+                            .collect()
+                    };
+                    let m = model.shards[k].as_mut().expect("live");
+                    m.tary = cells(&tary, &base.tary);
+                    m.bary = cells(&bary, &base.bary);
+                }
+                2 => {
+                    let stats = t.bump_version();
+                    model.commit(next);
+                    let ids =
+                        |cells: &[Cell]| cells.iter().filter(|c| matches!(c, Cell::Id(_))).count();
+                    prop_assert_eq!(stats, UpdateStats {
+                        version: model.version,
+                        tary_targets: model.live().map(|m| ids(&m.tary)).sum(),
+                        bary_branches: model.live().map(|m| ids(&m.bary)).sum(),
+                        updates_since_reset: model.commits,
+                        completed: true,
+                    });
+                }
+                3 => {
+                    // Half the time close below the limit, so the version wraps.
+                    let raw = if seed & 1 == 0 {
+                        (seed >> 8) as u32
+                    } else {
+                        VERSION_LIMIT - 1 - (seed >> 8) as u32 % 4
+                    };
+                    t.force_version(raw);
+                    model.commit(raw);
+                }
+                4 => {
+                    t.bump_version_split().finish();
+                    model.commit(next);
+                }
+                5 => {
+                    // The split re-stamp is dropped between its phases; a
+                    // random live shard repairs it.
+                    drop(t.bump_version_split());
+                    prop_assert!(t.has_abandoned());
+                    model.version = next % VERSION_LIMIT;
+                    let r = live[(seed >> 32) as usize % live.len()];
+                    let stale =
+                        model.live().any(|m| m.bary.iter().any(|c| matches!(c, Cell::Id(_))));
+                    let repairer = Arc::clone(shards[r].as_ref().expect("live"));
+                    prop_assert_eq!(repairer.repair_abandoned(), stale);
+                    if stale {
+                        model.commits += 1;
+                        model.shards[r].as_mut().expect("live").repairs += 1;
+                    }
+                }
+                6 => {
+                    if let (Some(img), Some(free)) =
+                        (&image, (1..shards.len()).find(|&d| shards[d].is_none()))
+                    {
+                        shards[free] = Some(img.attach());
+                        model.shards[free] = Some(blank.clone());
+                    }
+                }
+                _ => {
+                    if k > 0 {
+                        shards[k] = None;
+                        model.shards[k] = None;
+                    }
+                }
+            }
+            drop(t);
+            verify(&model, &shards)?;
+            if let Some(img) = &image {
+                prop_assert_eq!(img.attached(), model.live().count() - 1);
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+        #[test]
+        fn transactions_match_a_flat_model(
+            ops in proptest::collection::vec((0u8..8, any::<u64>()), 1..40)
+        ) {
+            run_model(false, &ops)?;
+            run_model(true, &ops)?;
+        }
     }
 }
