@@ -9,18 +9,23 @@
 //! * **alignment no-ops vs. address masking** — footnote 1 considers
 //!   masking the target's low bits instead of aligning targets; masking
 //!   adds an instruction to the hot path.
+//!
+//! Each pair of legs runs in interleaved rounds ([`mcfi_bench::timing`]).
+//! Writes `BENCH_ablations.json`.
 
 use std::collections::HashMap;
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU32, Ordering};
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use mcfi_bench::timing::{ns_per_iter, rounds, Report};
 use parking_lot::RwLock;
 
 use mcfi_tables::{Id, IdTables, TablesConfig};
 
 const CODE: usize = 4096;
 const CLASSES: u32 = 64;
+/// Calls per timed run.
+const ITERS: u64 = 1 << 20;
 
 fn filled_tables() -> IdTables {
     let t = IdTables::new(TablesConfig { code_size: CODE, bary_slots: CLASSES as usize });
@@ -87,40 +92,37 @@ impl SplitTables {
     }
 }
 
-fn bench_id_packing(c: &mut Criterion) {
-    let mut group = c.benchmark_group("id_packing");
-    let packed = filled_tables();
-    group.bench_function("packed_single_word", |b| {
-        let mut addr = 0u64;
-        b.iter(|| {
-            let r = packed.check(black_box((addr / 16) as usize % CLASSES as usize), addr);
-            addr = (addr + 16) % CODE as u64;
-            black_box(r).is_ok()
-        })
-    });
-    let split = SplitTables::new();
-    group.bench_function("split_metadata", |b| {
-        let mut addr = 0u64;
-        b.iter(|| {
-            let r = split.check(black_box((addr / 16) as usize % CLASSES as usize), addr);
-            addr = (addr + 16) % CODE as u64;
-            black_box(r)
-        })
-    });
-    group.finish();
+/// ns per call of `f` over [`ITERS`] calls, `f` taking the code
+/// region's 16-byte-aligned targets in turn.
+fn walk<R>(mut f: impl FnMut(u64) -> R) -> f64 {
+    let mut addr = 0u64;
+    ns_per_iter(ITERS, || {
+        let r = f(black_box(addr));
+        addr = (addr + 16) % CODE as u64;
+        r
+    })
 }
 
-fn bench_table_repr(c: &mut Criterion) {
-    let mut group = c.benchmark_group("tary_repr");
-    let array = filled_tables();
-    group.bench_function("array", |b| {
-        let mut addr = 0u64;
-        b.iter(|| {
-            let w = array.tary_word(black_box(addr));
-            addr = (addr + 16) % CODE as u64;
-            black_box(w)
-        })
+/// Times one ablation: `run(leg)` times leg `legs[leg]` with [`walk`].
+fn compare(report: &mut Report, group: &str, legs: [&str; 2], run: impl FnMut(usize) -> f64) {
+    for (leg, ns) in legs.iter().zip(rounds(2, run)) {
+        report.row(format!("{group}/{leg}"), "ns", &ns);
+    }
+}
+
+fn slot(addr: u64) -> usize {
+    (addr / 16) as usize % CLASSES as usize
+}
+
+fn main() {
+    let mut report = Report::new("ablations");
+    let packed = filled_tables();
+    let split = SplitTables::new();
+    compare(&mut report, "id_packing", ["packed_single_word", "split_metadata"], |leg| match leg {
+        0 => walk(|addr| packed.check(slot(addr), addr).is_ok()),
+        _ => walk(|addr| split.check(slot(addr), addr)),
     });
+
     // The rejected design: a hash map from address to ID, guarded by a
     // readers-writer lock so it can be updated at runtime.
     let map: RwLock<HashMap<u64, u32>> = RwLock::new(
@@ -135,42 +137,21 @@ fn bench_table_repr(c: &mut Criterion) {
             })
             .collect(),
     );
-    group.bench_function("hash_map", |b| {
-        let mut addr = 0u64;
-        b.iter(|| {
-            let w = map.read().get(&black_box(addr)).copied().unwrap_or(0);
-            addr = (addr + 16) % CODE as u64;
-            black_box(w)
-        })
+    compare(&mut report, "tary_repr", ["array", "hash_map"], |leg| match leg {
+        0 => walk(|addr| packed.tary_word(addr)),
+        _ => walk(|addr| map.read().get(&addr).copied().unwrap_or(0)),
     });
-    group.finish();
-}
 
-fn bench_align_vs_mask(c: &mut Criterion) {
     // Footnote 1: instead of aligning targets with no-ops, mask the two
     // low bits of the target before the Tary lookup. The mask variant
-    // adds an `and` to every check.
-    let tables = filled_tables();
-    let mut group = c.benchmark_group("align_vs_mask");
-    group.bench_function("aligned_targets", |b| {
-        let mut addr = 0u64;
-        b.iter(|| {
-            let r = tables.check((addr / 16) as usize % CLASSES as usize, black_box(addr));
-            addr = (addr + 16) % CODE as u64;
-            black_box(r).is_ok()
-        })
+    // adds an `and` to every check; its inputs are deliberately
+    // misaligned.
+    compare(&mut report, "align_vs_mask", ["aligned_targets", "masked_targets"], |leg| match leg {
+        0 => walk(|addr| packed.check(slot(addr), addr).is_ok()),
+        _ => walk(|addr| {
+            let masked = black_box(addr + 1) & !3;
+            packed.check(slot(masked), masked).is_ok()
+        }),
     });
-    group.bench_function("masked_targets", |b| {
-        let mut addr = 1u64; // deliberately misaligned inputs
-        b.iter(|| {
-            let masked = black_box(addr) & !3;
-            let r = tables.check((masked / 16) as usize % CLASSES as usize, masked);
-            addr = (addr + 16) % CODE as u64;
-            black_box(r).is_ok()
-        })
-    });
-    group.finish();
+    report.finish();
 }
-
-criterion_group!(benches, bench_id_packing, bench_table_repr, bench_align_vs_mask);
-criterion_main!(benches);

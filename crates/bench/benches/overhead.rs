@@ -1,39 +1,38 @@
-//! Criterion version of the Fig. 5 measurement on a small benchmark:
+//! Host-time version of the Fig. 5 measurement on a small benchmark:
 //! wall-clock time to execute the `mcf` workload with and without MCFI
 //! instrumentation (the printed simulated-cycle ratio is what Fig. 5
-//! reports; this bench tracks the harness itself).
+//! reports; this bench tracks the harness itself), and the time to
+//! compile the `gcc` workload. Writes `BENCH_overhead.json`.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
+use std::time::Instant;
 
 use mcfi::{Arch, BuildOptions, Policy};
+use mcfi_bench::timing::{rounds, Report};
 use mcfi_workloads::Variant;
 
-fn bench_workload(c: &mut Criterion) {
-    let mut group = c.benchmark_group("run_mcf");
-    group.sample_size(10);
-    for (label, policy) in [("mcfi", Policy::Mcfi), ("nocfi", Policy::NoCfi)] {
-        let opts = BuildOptions { policy, arch: Arch::X86_64, verify: false };
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                let r = mcfi::run_workload("mcf", Variant::Fixed, &opts).expect("runs");
-                black_box(r.cycles)
-            })
-        });
+fn main() {
+    let mut report = Report::new("overhead");
+    let legs = [("mcfi", Policy::Mcfi), ("nocfi", Policy::NoCfi)];
+    let secs = rounds(legs.len(), |leg| {
+        let opts = BuildOptions { policy: legs[leg].1, arch: Arch::X86_64, verify: false };
+        let t = Instant::now();
+        let r = mcfi::run_workload("mcf", Variant::Fixed, &opts).expect("runs");
+        black_box(r.cycles);
+        t.elapsed().as_secs_f64()
+    });
+    for ((label, _), leg) in legs.iter().zip(&secs) {
+        report.row(format!("run_mcf/{label}"), "s", leg);
     }
-    group.finish();
-}
 
-fn bench_compile(c: &mut Criterion) {
     let src = mcfi_workloads::source("gcc", Variant::Fixed);
     let opts = BuildOptions::default();
-    c.bench_function("compile_gcc_workload", |b| {
-        b.iter(|| {
-            let m = mcfi::compile_module("gcc", black_box(&src), &opts).expect("compiles");
-            black_box(m.code.len())
-        })
+    let secs = rounds(1, |_| {
+        let t = Instant::now();
+        let m = mcfi::compile_module("gcc", black_box(&src), &opts).expect("compiles");
+        black_box(m.code.len());
+        t.elapsed().as_secs_f64()
     });
+    report.row("compile_gcc_workload", "s", &secs[0]);
+    report.finish();
 }
-
-criterion_group!(benches, bench_workload, bench_compile);
-criterion_main!(benches);

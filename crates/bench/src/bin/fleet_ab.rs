@@ -1,42 +1,44 @@
-//! A/B + scaling benchmark for the fleet supervision tree.
+//! A/B + scaling benchmark for the fleet supervision tree. Both parts
+//! run their legs in interleaved rounds ([`mcfi_bench::timing`]) and
+//! write one report, `BENCH_fleet.json`.
 //!
-//! Part 1 (A/B, `BENCH_fleet.json`): aggregate guest throughput and
-//! shed rate versus fleet size, with and without a chaos storm blowing
-//! through every tenant.
+//! Part 1 (A/B): aggregate guest throughput and shed rate versus fleet
+//! size, with and without a chaos storm blowing through every tenant.
 //!
 //! For each fleet size the same dlopen-heavy tenants are driven through
-//! the same request budget twice:
+//! the same request budget in two legs:
 //!
 //! - **plain**: no chaos armed — every request serves;
 //! - **storm**: a seeded [`Storm`] fans an independent fault plan across
 //!   each tenant; the restart/breaker machinery eats some of the budget
 //!   in sheds and reboots.
 //!
-//! Exits non-zero if storm throughput drops below a fixed fraction of
-//! the plain baseline at any size — chaos must degrade the fleet, not
-//! collapse it.
+//! Exits non-zero if storm throughput's median per-round share of plain
+//! drops below a fixed fraction at any size — chaos must degrade the
+//! fleet, not collapse it.
 //!
-//! Part 2 (thread sweep, `BENCH_fleet_mt.json`): the same tenant set,
-//! now attached to one [`SharedImage`], is driven by the fleet's worker
-//! pool at 1/2/4/8 threads. Reports aggregate steps/sec per thread count
-//! beside the requests served and shed and the restarts, plus the
-//! p50/p99 latency of TxChecks sampled by a probe shard attached to the
-//! same image while the fleet storms around it. The rows do not serve
-//! equal work (see EXPERIMENTS.md), so steps/sec across them is not a
-//! scaling figure. On hosts with ≥ 4 available cores, exits non-zero if
-//! the 4-thread aggregate throughput is below 2× the single-thread run;
-//! on smaller hosts the ratio is reported but the gate cannot physically
-//! hold and is recorded as unenforced.
+//! Part 2 (thread sweep): the same tenant set, now attached to one
+//! [`SharedImage`], is driven by the fleet's worker pool at 1/2/4/8
+//! threads, one leg per thread count. Reports aggregate steps/sec per
+//! thread count beside the requests served and shed and the restarts,
+//! plus the p50/p99 latency of TxChecks sampled by a probe shard
+//! attached to the same image while the fleet storms around it. The
+//! rows do not serve equal work (see EXPERIMENTS.md), so steps/sec
+//! across them is not a scaling figure. On hosts with ≥ 4 available
+//! cores, exits non-zero if the median per-round 4-thread aggregate
+//! throughput is below 2× the single-thread run's; on smaller hosts the
+//! ratio is reported but the gate cannot physically hold and is
+//! recorded as skipped.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 use mcfi::{
-    compile_module, Backoff, BuildOptions, Fleet, FleetOptions, Id, Module, ProcessOptions,
-    RecoveryPolicy, RestartStrategy, Schedule, SharedImage, Storm, StormKind, TenantSpec,
-    ViolationPolicy, WorkerStats,
+    compile_module, Backoff, BuildOptions, Fleet, FleetOptions, FleetStats, Id, Module,
+    ProcessOptions, RecoveryPolicy, RestartStrategy, Schedule, SharedImage, Storm, StormKind,
+    TenantSpec, ViolationPolicy,
 };
-use serde::Serialize;
+use mcfi_bench::timing::{cores, quantile, ratio, rounds, Bound, Report};
 
 const SIZES: [usize; 3] = [2, 4, 8];
 const REQUESTS_PER_TENANT: u64 = 40;
@@ -76,61 +78,6 @@ const CRASHER: &str = "float fsq(float x) { return x * x; }\n\
        int (*f)(int) = (int(*)(int))raw;\n\
        return f(3);\n\
      }";
-
-#[derive(Serialize)]
-struct Row {
-    tenants: u64,
-    variant: String,
-    requests: u64,
-    served: u64,
-    shed: u64,
-    restarts: u64,
-    bans: u64,
-    steps: u64,
-    faults_fired: u64,
-    elapsed_s: f64,
-    steps_per_sec: f64,
-    shed_rate: f64,
-}
-
-#[derive(Serialize)]
-struct Report {
-    storm_seed: u64,
-    faults_per_tenant: u64,
-    requests_per_tenant: u64,
-    floor: f64,
-    rows: Vec<Row>,
-}
-
-#[derive(Serialize)]
-struct MtRow {
-    threads: u64,
-    requests: u64,
-    served: u64,
-    shed: u64,
-    restarts: u64,
-    steps: u64,
-    faults_fired: u64,
-    elapsed_s: f64,
-    steps_per_sec: f64,
-    checks_sampled: u64,
-    p50_check_ns: u64,
-    p99_check_ns: u64,
-    workers: Vec<WorkerStats>,
-}
-
-#[derive(Serialize)]
-struct MtReport {
-    tenants: u64,
-    requests_per_tenant: u64,
-    storm_seed: u64,
-    thread_counts: Vec<u64>,
-    speedup_floor: f64,
-    host_parallelism: u64,
-    gate_enforced: bool,
-    speedup_4t: f64,
-    rows: Vec<MtRow>,
-}
 
 struct Prebuilt {
     base: Vec<Module>,
@@ -205,36 +152,34 @@ fn opts() -> FleetOptions {
     }
 }
 
-fn drive(n: usize, pre: &Prebuilt, storm: Option<Storm>) -> Row {
+/// One storm-sweep run: steps/sec and the fleet's stats.
+fn drive(n: usize, pre: &Prebuilt, storm: Option<Storm>) -> (f64, FleetStats) {
     let mut fleet = Fleet::new(specs(n, pre), opts()).expect("fleet boots");
     if let Some(storm) = storm {
         fleet.arm_storm(storm);
     }
-    let budget = n as u64 * REQUESTS_PER_TENANT;
     let t = Instant::now();
-    fleet.run_requests(budget);
+    fleet.run_requests(n as u64 * REQUESTS_PER_TENANT);
     let elapsed = t.elapsed().as_secs_f64();
     let s = fleet.stats();
-    Row {
-        tenants: s.tenants,
-        variant: if storm.is_some() { "storm" } else { "plain" }.to_string(),
-        requests: s.requests,
-        served: s.served,
-        shed: s.shed,
-        restarts: s.restarts,
-        bans: s.bans,
-        steps: s.steps,
-        faults_fired: s.faults_fired,
-        elapsed_s: elapsed,
-        steps_per_sec: s.steps as f64 / elapsed.max(1e-9),
-        shed_rate: s.shed as f64 / s.requests.max(1) as f64,
-    }
+    (s.steps as f64 / elapsed.max(1e-9), s)
 }
+
+/// What one thread-sweep run measures, in [`mt_drive`]'s order.
+const MT_ROWS: [(&str, &str); 7] = [
+    ("throughput", "steps/s"),
+    ("served", "requests"),
+    ("shed", "requests"),
+    ("restarts", "count"),
+    ("TxCheck p50", "ns"),
+    ("TxCheck p99", "ns"),
+    ("TxChecks sampled", "count"),
+];
 
 /// One thread-scaling drive: `MT_TENANTS` tenants attached to a single
 /// [`SharedImage`], a mild storm on top, and a probe shard on the same
-/// image timing TxChecks while the fleet runs.
-fn mt_drive(threads: usize, pre: &Prebuilt) -> MtRow {
+/// image timing TxChecks while the fleet runs. Returns the [`MT_ROWS`].
+fn mt_drive(threads: usize, pre: &Prebuilt) -> [f64; 7] {
     let recover =
         ProcessOptions { violation_policy: ViolationPolicy::Recover, ..Default::default() };
     let image = SharedImage::build(pre.base.clone(), recover).expect("image builds");
@@ -274,7 +219,7 @@ fn mt_drive(threads: usize, pre: &Prebuilt) -> MtRow {
             while !done.load(Ordering::Acquire) {
                 let t0 = Instant::now();
                 let ok = probe_tables.check(slot, addr).is_ok();
-                lat.push(t0.elapsed().as_nanos() as u64);
+                lat.push(t0.elapsed().as_nanos() as f64);
                 assert!(ok, "the probe edge is always in policy");
                 // Don't starve the fleet on small hosts.
                 if lat.len() % 64 == 0 {
@@ -290,146 +235,62 @@ fn mt_drive(threads: usize, pre: &Prebuilt) -> MtRow {
         (elapsed, probe.join().expect("probe thread"))
     });
 
-    latencies.sort_unstable();
-    let pct = |p: usize| latencies[(latencies.len() - 1) * p / 100];
+    latencies.sort_by(f64::total_cmp);
     let s = fleet.stats();
-    MtRow {
-        threads: threads as u64,
-        requests: s.requests,
-        served: s.served,
-        shed: s.shed,
-        restarts: s.restarts,
-        steps: s.steps,
-        faults_fired: s.faults_fired,
-        elapsed_s: elapsed,
-        steps_per_sec: s.steps as f64 / elapsed.max(1e-9),
-        checks_sampled: latencies.len() as u64,
-        p50_check_ns: pct(50),
-        p99_check_ns: pct(99),
-        workers: s.workers,
-    }
+    [
+        s.steps as f64 / elapsed.max(1e-9),
+        s.served as f64,
+        s.shed as f64,
+        s.restarts as f64,
+        quantile(&latencies, 0.50),
+        quantile(&latencies, 0.99),
+        latencies.len() as f64,
+    ]
 }
 
 fn main() {
     println!("fleet A/B (plain vs chaos storm, {REQUESTS_PER_TENANT} requests/tenant)\n");
     let pre = prebuild();
     let storm = Storm { seed: STORM_SEED, kind: StormKind::Random { faults: FAULTS_PER_TENANT } };
-
-    let mut rows = Vec::new();
-    let mut worst_ratio = f64::INFINITY;
+    let mut report = Report::new("fleet");
     for n in SIZES {
-        let plain = drive(n, &pre, None);
-        let stormy = drive(n, &pre, Some(storm));
-        let ratio = stormy.steps_per_sec / plain.steps_per_sec.max(1e-9);
-        worst_ratio = worst_ratio.min(ratio);
-        println!(
-            "{n} tenants: plain {:>12.0} steps/s | storm {:>12.0} steps/s ({:.0}% of plain, \
-             shed rate {:.1}%, {} restarts, {} bans, {} faults)",
-            plain.steps_per_sec,
-            stormy.steps_per_sec,
-            100.0 * ratio,
-            100.0 * stormy.shed_rate,
-            stormy.restarts,
-            stormy.bans,
-            stormy.faults_fired,
-        );
-        rows.push(plain);
-        rows.push(stormy);
+        let runs = rounds(2, |leg| drive(n, &pre, (leg == 1).then_some(storm)));
+        let sps: Vec<Vec<f64>> = runs.iter().map(|leg| leg.iter().map(|r| r.0).collect()).collect();
+        report.row(format!("{n} tenants/plain"), "steps/s", &sps[0]);
+        report.row(format!("{n} tenants/storm"), "steps/s", &sps[1]);
+        let s = &runs[1][0].1;
+        for (counter, value) in [
+            ("shed rate", s.shed as f64 / s.requests.max(1) as f64),
+            ("restarts", s.restarts as f64),
+            ("bans", s.bans as f64),
+            ("faults fired", s.faults_fired as f64),
+        ] {
+            report.fact(format!("{n} tenants/storm {counter}"), value);
+        }
+        let r = report.row(format!("{n} tenants/storm÷plain"), "x", &ratio(&sps[1], &sps[0]));
+        let gate = format!("{n}-tenant storm/plain steps/s");
+        report.gate(&gate, r.median, Bound::AtLeast(FLOOR), true);
     }
-
-    let report = Report {
-        storm_seed: STORM_SEED,
-        faults_per_tenant: FAULTS_PER_TENANT as u64,
-        requests_per_tenant: REQUESTS_PER_TENANT,
-        floor: FLOOR,
-        rows,
-    };
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    std::fs::write("BENCH_fleet.json", format!("{json}\n")).expect("write BENCH_fleet.json");
-    println!("\nwrote BENCH_fleet.json");
 
     println!(
         "\nfleet thread scaling ({MT_TENANTS} shared-image tenants, \
          {MT_REQUESTS_PER_TENANT} requests/tenant)\n"
     );
-    let mut mt_rows = Vec::new();
-    for threads in THREAD_COUNTS {
-        let row = mt_drive(threads, &pre);
-        println!(
-            "{threads} thread(s): {:>12.0} steps/s | served {:>3}/{} shed {:>3} \
-             restarts {:>2} | TxCheck p50 {:>6} ns p99 {:>7} ns ({} checks sampled)",
-            row.steps_per_sec,
-            row.served,
-            row.requests,
-            row.shed,
-            row.restarts,
-            row.p50_check_ns,
-            row.p99_check_ns,
-            row.checks_sampled,
-        );
-        mt_rows.push(row);
+    let runs = rounds(THREAD_COUNTS.len(), |leg| mt_drive(THREAD_COUNTS[leg], &pre));
+    for (threads, leg) in THREAD_COUNTS.iter().zip(&runs) {
+        for (i, (metric, unit)) in MT_ROWS.iter().enumerate() {
+            let values: Vec<f64> = leg.iter().map(|r| r[i]).collect();
+            report.row(format!("{threads} threads/{metric}"), unit, &values);
+        }
     }
-    let single = mt_rows[0].steps_per_sec;
-    let quad = mt_rows
-        .iter()
-        .find(|r| r.threads == 4)
-        .expect("the sweep includes 4 threads")
-        .steps_per_sec;
-    let speedup_4t = quad / single.max(1e-9);
-    let host_parallelism =
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1) as u64;
-    let gate_enforced = host_parallelism >= 4;
-
-    let mt_report = MtReport {
-        tenants: MT_TENANTS as u64,
-        requests_per_tenant: MT_REQUESTS_PER_TENANT,
-        storm_seed: STORM_SEED,
-        thread_counts: THREAD_COUNTS.iter().map(|&t| t as u64).collect(),
-        speedup_floor: MT_SPEEDUP_FLOOR,
-        host_parallelism,
-        gate_enforced,
-        speedup_4t,
-        rows: mt_rows,
-    };
-    let json = serde_json::to_string_pretty(&mt_report).expect("mt report serializes");
-    std::fs::write("BENCH_fleet_mt.json", format!("{json}\n"))
-        .expect("write BENCH_fleet_mt.json");
-    println!("\nwrote BENCH_fleet_mt.json");
-
-    let mut failed = false;
-    if worst_ratio < FLOOR {
-        eprintln!(
-            "\nFAIL: storm throughput fell to {:.0}% of plain (floor {:.0}%)",
-            100.0 * worst_ratio,
-            100.0 * FLOOR
-        );
-        failed = true;
-    } else {
-        println!(
-            "\nPASS: storm throughput stayed at or above {:.0}% of plain everywhere \
-             (worst {:.0}%)",
-            100.0 * FLOOR,
-            100.0 * worst_ratio
-        );
-    }
-    if gate_enforced && speedup_4t < MT_SPEEDUP_FLOOR {
-        eprintln!(
-            "FAIL: 4-thread throughput is {speedup_4t:.2}× single-thread \
-             (floor {MT_SPEEDUP_FLOOR:.1}×)"
-        );
-        failed = true;
-    } else if gate_enforced {
-        println!(
-            "PASS: 4-thread throughput is {speedup_4t:.2}× single-thread \
-             (floor {MT_SPEEDUP_FLOOR:.1}×)"
-        );
-    } else {
-        println!(
-            "SKIP: 4-thread speedup gate needs ≥ 4 cores (host has {host_parallelism}); \
-             measured {speedup_4t:.2}×"
-        );
-    }
-    if failed {
-        std::process::exit(1);
-    }
+    let sps = |leg: usize| runs[leg].iter().map(|r| r[0]).collect::<Vec<f64>>();
+    let quad = THREAD_COUNTS.iter().position(|&t| t == 4).expect("the sweep includes 4 threads");
+    let speedup = report.row("4 threads÷1 thread", "x", &ratio(&sps(quad), &sps(0)));
+    report.gate(
+        "4-thread/1-thread steps/s",
+        speedup.median,
+        Bound::AtLeast(MT_SPEEDUP_FLOOR),
+        cores() >= 4,
+    );
+    report.finish();
 }

@@ -1,17 +1,19 @@
 //! A/B benchmark for the runtime's predecoded-instruction cache.
 //!
-//! Runs the same workloads twice — once fetching through the predecode
-//! cache (the default) and once decoding every step from raw sandbox
-//! bytes — and reports host-clock steps/second for each, the speedup,
-//! and the cache counters. Also cross-checks that both modes report
+//! Runs the same workloads in two legs — fetching through the predecode
+//! cache (the default), and decoding every step from raw sandbox bytes —
+//! in interleaved rounds ([`mcfi_bench::timing`]), and reports
+//! host-clock steps/second for each, the per-round speedup, and the
+//! cache counters. Also cross-checks that every run of both modes reports
 //! identical outcome, steps, and checks: the cache must be
 //! architecturally invisible.
 //!
-//! Exits non-zero if fib-recursion speeds up by less than 2x, the
-//! acceptance floor for the cache.
+//! Writes `BENCH_icache.json` and exits non-zero if fib-recursion's
+//! median speedup is under 2x, the acceptance floor for the cache.
 
 use std::time::Instant;
 
+use mcfi_bench::timing::{ratio, rounds, Bound, Report};
 use mcfi_codegen::{compile_source, CodegenOptions};
 use mcfi_runtime::{stdlib, synth, FetchMode, Process, ProcessOptions, RunResult};
 
@@ -76,70 +78,38 @@ fn run_once(w: &Workload, fetch: FetchMode) -> (RunResult, f64) {
     (r, t.elapsed().as_secs_f64())
 }
 
-/// Runs `w` in both modes `reps` times, interleaved so host noise hits
-/// both sides alike; returns each mode's result and best (minimum)
-/// wall-clock seconds — the usual noise-resistant statistic.
-fn measure(w: &Workload, reps: u32) -> ((RunResult, f64), (RunResult, f64)) {
-    let mut best_c = f64::INFINITY;
-    let mut best_u = f64::INFINITY;
-    let mut res_c = None;
-    let mut res_u = None;
-    for _ in 0..reps {
-        let (rc, tc) = run_once(w, FetchMode::Predecode);
-        best_c = best_c.min(tc);
-        res_c = Some(rc);
-        let (ru, tu) = run_once(w, FetchMode::Decode);
-        best_u = best_u.min(tu);
-        res_u = Some(ru);
-    }
-    ((res_c.expect("reps >= 1"), best_c), (res_u.expect("reps >= 1"), best_u))
-}
-
 fn main() {
     println!("predecode-cache A/B (cached vs per-step decode)\n");
-    println!(
-        "{:<14} {:>12} {:>14} {:>14} {:>8}  {:>10} {:>8} {:>6} {:>8} {:>6}",
-        "workload",
-        "steps",
-        "cached st/s",
-        "uncached st/s",
-        "speedup",
-        "hits",
-        "misses",
-        "inval",
-        "retries",
-        "escal"
-    );
+    let mut report = Report::new("icache");
     let mut fib_speedup = None;
     for w in WORKLOADS {
-        let ((rc, tc), (ru, tu)) = measure(w, 5);
-        assert_eq!(rc.outcome, ru.outcome, "{}: outcomes diverge", w.name);
-        assert_eq!(rc.steps, ru.steps, "{}: step counts diverge", w.name);
-        assert_eq!(rc.checks, ru.checks, "{}: check counts diverge", w.name);
-        let cached_sps = rc.steps as f64 / tc;
-        let uncached_sps = ru.steps as f64 / tu;
-        let speedup = cached_sps / uncached_sps;
-        if w.name == "fib-recursion" {
-            fib_speedup = Some(speedup);
+        let runs = rounds(2, |leg| run_once(w, [FetchMode::Predecode, FetchMode::Decode][leg]));
+        let rc = &runs[0][0].0;
+        for (r, _) in runs.iter().flatten() {
+            assert_eq!(r.outcome, rc.outcome, "{}: outcomes diverge", w.name);
+            assert_eq!(r.steps, rc.steps, "{}: step counts diverge", w.name);
+            assert_eq!(r.checks, rc.checks, "{}: check counts diverge", w.name);
         }
-        println!(
-            "{:<14} {:>12} {:>14.3e} {:>14.3e} {:>7.2}x  {:>10} {:>8} {:>6} {:>8} {:>6}",
-            w.name,
-            rc.steps,
-            cached_sps,
-            uncached_sps,
-            speedup,
-            rc.icache_hits,
-            rc.icache_misses,
-            rc.icache_invalidations,
-            rc.check_retries + rc.tx_retries,
-            rc.tx_escalations,
-        );
+        let sps: Vec<Vec<f64>> =
+            runs.iter().map(|leg| leg.iter().map(|(r, t)| r.steps as f64 / t).collect()).collect();
+        report.row(format!("{}/cached", w.name), "steps/s", &sps[0]);
+        report.row(format!("{}/uncached", w.name), "steps/s", &sps[1]);
+        let speedup = report.row(format!("{}/speedup", w.name), "x", &ratio(&sps[0], &sps[1]));
+        for (counter, value) in [
+            ("steps", rc.steps),
+            ("hits", rc.icache_hits),
+            ("misses", rc.icache_misses),
+            ("invalidations", rc.icache_invalidations),
+            ("retries", rc.check_retries + rc.tx_retries),
+            ("escalations", rc.tx_escalations),
+        ] {
+            report.fact(format!("{}/{counter}", w.name), value as f64);
+        }
+        if w.name == "fib-recursion" {
+            fib_speedup = Some(speedup.median);
+        }
     }
     let fib = fib_speedup.expect("fib-recursion ran");
-    if fib < 2.0 {
-        eprintln!("\nFAIL: fib-recursion speedup {fib:.2}x is below the 2x floor");
-        std::process::exit(1);
-    }
-    println!("\nPASS: fib-recursion speedup {fib:.2}x (floor: 2x)");
+    report.gate("fib-recursion speedup", fib, Bound::AtLeast(2.0), true);
+    report.finish();
 }

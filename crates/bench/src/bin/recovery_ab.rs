@@ -13,13 +13,14 @@
 //! - **from-scratch**: boot a fresh process (reload every module) and
 //!   re-run the whole program.
 //!
+//! The two legs run in interleaved rounds ([`mcfi_bench::timing`]).
 //! Both paths must produce the baseline outcome; the checkpointed path
-//! must be faster. Emits `BENCH_recovery.json` for CI artifacts and
-//! exits non-zero if the checkpointed restart fails to beat the
-//! from-scratch one.
+//! must be faster. Writes `BENCH_recovery.json` and exits non-zero if
+//! the median per-round speedup does not exceed 1x.
 
 use std::time::Instant;
 
+use mcfi_bench::timing::{ratio, rounds, Bound, Report};
 use mcfi_codegen::{compile_source, CodegenOptions};
 use mcfi_module::Module;
 use mcfi_runtime::{stdlib, synth, Outcome, Process, ProcessOptions};
@@ -39,7 +40,6 @@ const HOST_SRC: &str = "int dlopen(char* name);\n\
      }";
 
 const CHECKPOINT_INTERVAL: u64 = 25_000;
-const REPS: u32 = 7;
 
 struct Prebuilt {
     base: Vec<Module>,
@@ -98,57 +98,34 @@ fn main() {
         .find(|c| c.resumable())
         .expect("the run outlived at least one checkpoint interval")
         .clone();
-    println!(
-        "workload: {} steps total, recovering from the checkpoint at step {}",
-        baseline.steps,
-        cp.steps()
-    );
+    let mut report = Report::new("recovery");
+    report.fact("total steps", baseline.steps as f64);
+    report.fact("checkpoint step", cp.steps() as f64);
 
-    // A: restore the checkpoint and resume. Repay only the tail of the
-    // run plus the restore itself (snapshot copy-back + one forward
-    // table-update transaction).
-    let mut best_restore = f64::INFINITY;
-    for _ in 0..REPS {
+    // Leg 0 restores the checkpoint and resumes: it repays only the
+    // tail of the run plus the restore itself (snapshot copy-back + one
+    // forward table-update transaction). Leg 1 restarts from scratch:
+    // it reloads all four base modules, then re-runs everything,
+    // including the six-dlopen prologue.
+    let secs = rounds(2, |leg| {
+        let mut fresh = None;
         let t = Instant::now();
-        p.restore(&cp).expect("checkpoint restores");
-        let r = p.run("__start").expect("resumed run");
-        best_restore = best_restore.min(t.elapsed().as_secs_f64());
-        assert_eq!(r.outcome, baseline.outcome, "resume must converge on the baseline");
-        assert_eq!(r.steps, baseline.steps, "the resumed run continues the crashed one");
-    }
-
-    // B: from-scratch restart. Reload all four base modules, then re-run
-    // everything — including the six-dlopen prologue.
-    let mut best_scratch = f64::INFINITY;
-    for _ in 0..REPS {
-        let t = Instant::now();
-        let mut fresh = boot(&pre, 0);
-        let r = fresh.run("__start").expect("restarted run");
-        best_scratch = best_scratch.min(t.elapsed().as_secs_f64());
-        assert_eq!(r.outcome, baseline.outcome, "restart must converge on the baseline");
-    }
-
-    let speedup = best_scratch / best_restore;
-    println!("checkpointed resume:  {:>10.3} ms", best_restore * 1e3);
-    println!("from-scratch restart: {:>10.3} ms", best_scratch * 1e3);
-    println!("speedup:              {speedup:>10.2}x");
-
-    let json = format!(
-        "{{\n  \"workload\": \"dlopen-heavy\",\n  \"total_steps\": {},\n  \
-         \"checkpoint_step\": {},\n  \"checkpointed_resume_s\": {:.6},\n  \
-         \"from_scratch_restart_s\": {:.6},\n  \"speedup\": {:.3}\n}}\n",
-        baseline.steps,
-        cp.steps(),
-        best_restore,
-        best_scratch,
-        speedup
-    );
-    std::fs::write("BENCH_recovery.json", json).expect("write BENCH_recovery.json");
-    println!("wrote BENCH_recovery.json");
-
-    if speedup <= 1.0 {
-        eprintln!("\nFAIL: checkpointed resume ({best_restore:.4}s) did not beat the from-scratch restart ({best_scratch:.4}s)");
-        std::process::exit(1);
-    }
-    println!("\nPASS: checkpointed resume beats the from-scratch restart ({speedup:.2}x)");
+        let r = if leg == 0 {
+            p.restore(&cp).expect("checkpoint restores");
+            p.run("__start").expect("resumed run")
+        } else {
+            fresh.insert(boot(&pre, 0)).run("__start").expect("restarted run")
+        };
+        let elapsed = t.elapsed().as_secs_f64();
+        assert_eq!(r.outcome, baseline.outcome, "recovery must converge on the baseline");
+        if leg == 0 {
+            assert_eq!(r.steps, baseline.steps, "the resumed run continues the crashed one");
+        }
+        elapsed
+    });
+    report.row("checkpointed resume", "s", &secs[0]);
+    report.row("from-scratch restart", "s", &secs[1]);
+    let speedup = report.row("speedup", "x", &ratio(&secs[1], &secs[0]));
+    report.gate("restart time / resume time", speedup.median, Bound::Above(1.0), true);
+    report.finish();
 }

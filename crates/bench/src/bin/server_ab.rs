@@ -8,178 +8,98 @@
 //! - **mcfi-storm**: full enforcement plus a seeded network fault plan,
 //!   pricing the retransmission discipline on top of the checks.
 //!
-//! Every leg drives the same seeded benign traffic script and must
-//! produce the byte-identical settled response stream — the bench
-//! measures overhead, not answers. Exits non-zero if any stream
-//! diverges or MCFI throughput falls below a fixed fraction of plain.
+//! The legs run in interleaved rounds ([`mcfi_bench::timing`]). Every
+//! run drives the same seeded benign traffic script and must produce the
+//! byte-identical settled response stream — the bench measures
+//! overhead, not answers, and panics if a stream diverges. Exits
+//! non-zero if MCFI's median per-round throughput falls below a fixed
+//! fraction of plain's.
 
 use std::time::Instant;
 
 use mcfi::{
-    FaultPlan, NetConfig, NetServer, NetVerdict, PacketGen, Policy, ProcessOptions, Segment,
-    TrafficSpec, ViolationPolicy,
+    FaultPlan, NetConfig, NetServer, NetStats, NetVerdict, PacketGen, Policy, ProcessOptions,
+    Segment, TrafficSpec, ViolationPolicy,
 };
-use serde::Serialize;
+use mcfi_bench::timing::{ratio, rounds, Bound, Report};
 
-const ROUNDS: usize = 8;
+/// Drives of the traffic script per leg run.
+const DRIVES: usize = 8;
 const TRAFFIC_SEED: u64 = 2014;
 const STORM_SEED: u64 = 7;
 const FAULTS: usize = 6;
 /// MCFI requests/sec below this fraction of plain fails the bench.
 const FLOOR: f64 = 0.02;
 
-#[derive(Serialize)]
-struct Row {
-    leg: String,
-    requests: u64,
-    attempts: u64,
-    retries: u64,
-    checks: u64,
-    steps: u64,
-    faults_absorbed: u64,
-    elapsed_s: f64,
-    requests_per_sec: f64,
+const LEGS: [(&str, Policy, ViolationPolicy, bool); 4] = [
+    ("plain", Policy::NoCfi, ViolationPolicy::Enforce, false),
+    ("mcfi", Policy::Mcfi, ViolationPolicy::Enforce, false),
+    ("audit", Policy::Mcfi, ViolationPolicy::Audit, false),
+    ("mcfi-storm", Policy::Mcfi, ViolationPolicy::Enforce, true),
+];
+
+/// The per-leg counters the report records, in [`counters`]' order.
+const COUNTERS: [&str; 6] =
+    ["requests", "attempts", "retries", "checks", "steps", "faults absorbed"];
+
+fn counters(s: &NetStats) -> [u64; 6] {
+    let faults = s.drops + s.corrupts + s.reorders + s.aborts_injected + s.stalls;
+    [s.segments as u64, s.attempts, s.retries, s.checks, s.steps, faults]
 }
 
-#[derive(Serialize)]
-struct Report {
-    traffic_seed: u64,
-    storm_seed: u64,
-    faults: u64,
-    rounds: u64,
-    segments_per_round: u64,
-    floor: f64,
-    mcfi_vs_plain: f64,
-    audit_vs_plain: f64,
-    rows: Vec<Row>,
-}
-
-fn drive(
-    leg: &str,
-    policy: Policy,
-    vp: ViolationPolicy,
-    script: &[Segment],
-    chaos: bool,
-) -> (Row, Vec<u8>) {
+/// One leg run: a fresh server driven `DRIVES` times through `script`.
+/// Returns requests/sec, the settled response stream, and the counters
+/// summed over the drives.
+fn drive(leg: usize, script: &[Segment]) -> (f64, Vec<u8>, [u64; 6]) {
+    let (name, policy, vp, chaos) = LEGS[leg];
     let popts = ProcessOptions { violation_policy: vp, ..Default::default() };
     let mut srv =
         NetServer::boot_with(policy, NetConfig::default(), popts).expect("server boots");
     if chaos {
         srv.arm_chaos(FaultPlan::random_net(STORM_SEED, FAULTS));
     }
-    let mut requests = 0u64;
-    let mut attempts = 0u64;
-    let mut retries = 0u64;
-    let mut checks = 0u64;
-    let mut steps = 0u64;
-    let mut faults = 0u64;
+    let mut totals = [0u64; 6];
     let mut stream = Vec::new();
     let t = Instant::now();
-    for round in 0..ROUNDS {
+    for drive in 0..DRIVES {
         let out = srv.drive(script).expect("drive settles");
-        assert_eq!(out.verdict, NetVerdict::Healthy, "{leg}: benign traffic degraded");
-        requests += out.stats.segments as u64;
-        attempts += out.stats.attempts;
-        retries += out.stats.retries;
-        checks += out.stats.checks;
-        steps += out.stats.steps;
-        faults += out.stats.drops
-            + out.stats.corrupts
-            + out.stats.reorders
-            + out.stats.aborts_injected
-            + out.stats.stalls;
-        if round == 0 {
+        assert_eq!(out.verdict, NetVerdict::Healthy, "{name}: benign traffic degraded");
+        for (total, c) in totals.iter_mut().zip(counters(&out.stats)) {
+            *total += c;
+        }
+        if drive == 0 {
             stream = out.stream;
         } else {
-            assert_eq!(stream, out.stream, "{leg}: rounds must repeat identically");
+            assert_eq!(stream, out.stream, "{name}: drives must repeat identically");
         }
     }
     let elapsed = t.elapsed().as_secs_f64();
-    let row = Row {
-        leg: leg.to_string(),
-        requests,
-        attempts,
-        retries,
-        checks,
-        steps,
-        faults_absorbed: faults,
-        elapsed_s: elapsed,
-        requests_per_sec: requests as f64 / elapsed.max(1e-9),
-    };
-    (row, stream)
+    (totals[0] as f64 / elapsed.max(1e-9), stream, totals)
 }
 
 fn main() {
     let spec = TrafficSpec { seed: TRAFFIC_SEED, adversarial: false, ..TrafficSpec::default() };
     let script = PacketGen::new(spec.seed).script(&spec);
     println!(
-        "network server A/B ({} segments/round, {ROUNDS} rounds, traffic seed {TRAFFIC_SEED})\n",
+        "network server A/B ({} segments/drive, {DRIVES} drives/run, \
+         traffic seed {TRAFFIC_SEED})\n",
         script.len()
     );
-
-    let legs = [
-        ("plain", Policy::NoCfi, ViolationPolicy::Enforce, false),
-        ("mcfi", Policy::Mcfi, ViolationPolicy::Enforce, false),
-        ("audit", Policy::Mcfi, ViolationPolicy::Audit, false),
-        ("mcfi-storm", Policy::Mcfi, ViolationPolicy::Enforce, true),
-    ];
-    let mut rows = Vec::new();
-    let mut streams = Vec::new();
-    for (leg, policy, vp, chaos) in legs {
-        let (row, stream) = drive(leg, policy, vp, &script, chaos);
-        println!(
-            "{leg:>10}: {:>9.0} req/s ({} requests, {} retries, {} checks, {} faults absorbed)",
-            row.requests_per_sec, row.requests, row.retries, row.checks, row.faults_absorbed,
-        );
-        rows.push(row);
-        streams.push((leg, stream));
-    }
-
-    let mut failed = false;
-    for (leg, stream) in &streams[1..] {
-        if stream != &streams[0].1 {
-            eprintln!("FAIL: leg {leg} settled to a different response stream than plain");
-            failed = true;
+    let mut report = Report::new("net");
+    let runs = rounds(LEGS.len(), |leg| drive(leg, &script));
+    let plain_stream = &runs[0][0].1;
+    let rps: Vec<Vec<f64>> = runs.iter().map(|leg| leg.iter().map(|r| r.0).collect()).collect();
+    for ((name, ..), (leg_rps, leg)) in LEGS.iter().zip(rps.iter().zip(&runs)) {
+        for (_, stream, _) in leg {
+            assert_eq!(stream, plain_stream, "{name} settled to a different response stream");
+        }
+        report.row(*name, "req/s", leg_rps);
+        for (counter, value) in COUNTERS.iter().zip(leg[0].2) {
+            report.fact(format!("{name}/{counter}"), value as f64);
         }
     }
-    let rps = |leg: &str| {
-        rows.iter().find(|r| r.leg == leg).expect("leg exists").requests_per_sec
-    };
-    let mcfi_vs_plain = rps("mcfi") / rps("plain").max(1e-9);
-    let audit_vs_plain = rps("audit") / rps("plain").max(1e-9);
-
-    let report = Report {
-        traffic_seed: TRAFFIC_SEED,
-        storm_seed: STORM_SEED,
-        faults: FAULTS as u64,
-        rounds: ROUNDS as u64,
-        segments_per_round: script.len() as u64,
-        floor: FLOOR,
-        mcfi_vs_plain,
-        audit_vs_plain,
-        rows,
-    };
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    std::fs::write("BENCH_net.json", format!("{json}\n")).expect("write BENCH_net.json");
-    println!("\nwrote BENCH_net.json");
-
-    if mcfi_vs_plain < FLOOR {
-        eprintln!(
-            "FAIL: MCFI throughput is {:.1}% of plain (floor {:.1}%)",
-            100.0 * mcfi_vs_plain,
-            100.0 * FLOOR
-        );
-        failed = true;
-    } else {
-        println!(
-            "PASS: streams identical across legs; MCFI at {:.1}% of plain throughput \
-             (audit {:.1}%, floor {:.1}%)",
-            100.0 * mcfi_vs_plain,
-            100.0 * audit_vs_plain,
-            100.0 * FLOOR
-        );
-    }
-    if failed {
-        std::process::exit(1);
-    }
+    report.row("audit/plain", "x", &ratio(&rps[2], &rps[0]));
+    let mcfi = report.row("mcfi/plain", "x", &ratio(&rps[1], &rps[0]));
+    report.gate("MCFI throughput / plain", mcfi.median, Bound::AtLeast(FLOOR), true);
+    report.finish();
 }

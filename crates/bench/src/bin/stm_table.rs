@@ -5,11 +5,16 @@
 //! Paper: `MCFI 1 | TML 2 | RWL 29 | Mutex 22`. The ordering MCFI < TML
 //! ≪ {RWL, Mutex} is the reproducible claim: TML pays two sequence-lock
 //! reads per check, while RWL/Mutex pay LOCK-prefixed read-modify-writes.
+//!
+//! The schemes run in interleaved rounds ([`mcfi_bench::timing`]); a
+//! scheme's normalized time is its median per-round ratio to MCFI's.
+//! Writes `BENCH_stm_table.json`.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
+use mcfi_bench::timing::{ratio, rounds, Report};
 use mcfi_tables::stm::{all_strategies, CheckStrategy};
 use mcfi_tables::TablesConfig;
 
@@ -69,28 +74,19 @@ fn main() {
     println!(" real cross-core traffic; the lock-based schemes' order-of-");
     println!(" magnitude penalty reproduces directly)\n");
     let config = TablesConfig { code_size: 1024, bary_slots: 64 };
+    let mut report = Report::new("stm_table");
     for contended in [false, true] {
-        println!(
-            "== {} readers{} ==",
-            READER_THREADS,
-            if contended { ", periodic updater" } else { ", no updater" }
-        );
-        let strategies = all_strategies(config);
-        let mut results = Vec::new();
-        for s in strategies {
-            let s: Arc<dyn CheckStrategy> = Arc::from(s);
-            let t = bench_strategy(&s, contended);
-            results.push((s.name(), t));
-        }
-        let baseline = results
-            .iter()
-            .find(|(n, _)| *n == "MCFI")
-            .expect("MCFI measured")
-            .1;
-        println!("{:>8} {:>10} {:>12}", "scheme", "seconds", "normalized");
-        for (name, t) in &results {
-            println!("{name:>8} {t:>10.3} {:>11.1}x", t / baseline);
+        let mode = if contended { "periodic updater" } else { "no updater" };
+        println!("== {READER_THREADS} readers, {mode} ==");
+        let strategies: Vec<Arc<dyn CheckStrategy>> =
+            all_strategies(config).into_iter().map(Arc::from).collect();
+        let secs = rounds(strategies.len(), |leg| bench_strategy(&strategies[leg], contended));
+        let mcfi = strategies.iter().position(|s| s.name() == "MCFI").expect("MCFI measured");
+        for (s, leg) in strategies.iter().zip(&secs) {
+            report.row(format!("{mode}/{}", s.name()), "s", leg);
+            report.row(format!("{mode}/{} normalized", s.name()), "x", &ratio(leg, &secs[mcfi]));
         }
         println!("(paper: MCFI 1, TML 2, RWL 29, Mutex 22)\n");
     }
+    report.finish();
 }

@@ -15,9 +15,14 @@
 //! | `air`        | §8.3 — AIR metric across policies |
 //! | `gadgets`    | §8.3 — ROP gadget elimination |
 //! | `case_study` | §8.3 — the GnuPG/`execve` function-pointer hijack |
+//!
+//! The host-timed binaries (`stm_table` and the `*_ab` A/Bs) and the
+//! `cargo bench` mains measure through one core, [`timing`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod timing;
 
 use mcfi::{Arch, BuildOptions, Outcome, Policy, RunResult};
 use mcfi_workloads::Variant;

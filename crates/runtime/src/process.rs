@@ -81,9 +81,6 @@ pub struct ProcessOptions {
     pub fetch: FetchMode,
     /// What to do when a check transaction halts the program.
     pub violation_policy: ViolationPolicy,
-    /// Capacity of the audited-violation log (records kept verbatim
-    /// before rate-limiting kicks in; see [`ViolationLog`]).
-    pub violation_log_capacity: usize,
     /// Steps between automatic in-run checkpoints (0 = disabled). When
     /// enabled, the run loop captures a full [`Checkpoint`] — resumable
     /// VM state included — every `checkpoint_interval` executed
@@ -106,7 +103,6 @@ impl Default for ProcessOptions {
             bary_capacity: 1 << 16,
             fetch: FetchMode::Predecode,
             violation_policy: ViolationPolicy::Enforce,
-            violation_log_capacity: ViolationLog::CAPACITY,
             checkpoint_interval: 0,
             admission: DecodeLimits::admission(),
         }
@@ -173,40 +169,22 @@ pub struct ViolationRecord {
 ///
 /// Rate-limited by capacity rather than time: a hijacked indirect branch
 /// in a hot loop would otherwise grow the log without bound. The first
-/// `capacity` records are kept verbatim; everything after is counted in
-/// [`ViolationLog::dropped`]. Exactly at the boundary: the `capacity`-th
-/// violation is *retained* (`dropped() == 0`), and only the
-/// `capacity + 1`-st onward are dropped.
-#[derive(Clone, Debug)]
+/// [`ViolationLog::CAPACITY`] records are kept verbatim; everything after
+/// is counted in [`ViolationLog::dropped`]. Exactly at the boundary: the
+/// `CAPACITY`-th violation is *retained* (`dropped() == 0`), and only the
+/// `CAPACITY + 1`-st onward are dropped.
+#[derive(Clone, Debug, Default)]
 pub struct ViolationLog {
     records: Vec<ViolationRecord>,
     dropped: u64,
-    capacity: usize,
-}
-
-impl Default for ViolationLog {
-    fn default() -> Self {
-        Self::with_capacity(Self::CAPACITY)
-    }
 }
 
 impl ViolationLog {
-    /// The default record capacity (see
-    /// [`ProcessOptions::violation_log_capacity`] to configure it).
+    /// The number of records kept verbatim.
     pub const CAPACITY: usize = 64;
 
-    /// An empty log retaining at most `capacity` records verbatim.
-    pub fn with_capacity(capacity: usize) -> Self {
-        ViolationLog { records: Vec::new(), dropped: 0, capacity }
-    }
-
-    /// The configured record capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     fn push(&mut self, rec: ViolationRecord) {
-        if self.records.len() < self.capacity {
+        if self.records.len() < Self::CAPACITY {
             self.records.push(rec);
         } else {
             self.dropped += 1;
@@ -801,7 +779,7 @@ impl Process {
             icache: PredecodeCache::new(),
             chaos: None,
             load_rollbacks: 0,
-            violations: ViolationLog::with_capacity(opts.violation_log_capacity),
+            violations: ViolationLog::default(),
             checkpoints: Vec::new(),
             checkpoints_taken: 0,
             restores: 0,
@@ -2144,4 +2122,26 @@ enum SysOutcome {
     Continue,
     Exit(i64),
     Fault(FaultKind),
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn violation_log_is_exact_at_the_capacity_boundary() {
+        let rec = |i: usize| ViolationRecord { pc: 0, bary_slot: 0, target: i as u64, kind: None };
+        let mut log = ViolationLog::default();
+        for i in 0..ViolationLog::CAPACITY {
+            log.push(rec(i));
+        }
+        assert_eq!(log.records().len(), ViolationLog::CAPACITY);
+        assert_eq!(log.dropped(), 0, "nothing dropped at exact capacity");
+        log.push(rec(ViolationLog::CAPACITY));
+        assert_eq!(log.records().len(), ViolationLog::CAPACITY);
+        assert_eq!(log.dropped(), 1, "exactly the boundary record is dropped");
+        assert_eq!(log.total(), ViolationLog::CAPACITY as u64 + 1);
+        let targets: Vec<u64> = log.records().iter().map(|r| r.target).collect();
+        assert_eq!(targets, (0..ViolationLog::CAPACITY as u64).collect::<Vec<_>>(), "first kept");
+    }
 }

@@ -13,6 +13,10 @@ pub enum ViolationKind {
     /// The target address is aligned but is not a possible indirect-branch
     /// target under the current CFG (its Tary entry is all zeros).
     NotATarget,
+    /// The target's ID is valid, but the branch's Bary slot holds no ID:
+    /// no policy filled the slot, or a delta revoked the branch. The
+    /// branch may reach nothing.
+    EmptyBranchSlot,
     /// Both IDs are valid and same-version, but belong to different
     /// equivalence classes: a genuine control-flow policy violation.
     EcnMismatch {
@@ -47,6 +51,11 @@ impl fmt::Display for CfiViolation {
             ViolationKind::NotATarget => write!(
                 f,
                 "cfi violation: branch {} targets non-target address {:#x}",
+                self.bary_slot, self.target
+            ),
+            ViolationKind::EmptyBranchSlot => write!(
+                f,
+                "cfi violation: branch {} has no ID and may not reach {:#x}",
                 self.bary_slot, self.target
             ),
             ViolationKind::EcnMismatch { branch, target } => write!(

@@ -777,21 +777,26 @@ impl<S: SyncFacade> IdTablesAt<S> {
     /// control to `target`.
     ///
     /// Mirrors the machine sequence case by case:
-    /// 1. equal words → transfer allowed (validity + version + ECN in one
-    ///    comparison);
+    /// 1. equal valid words → transfer allowed (validity + version + ECN
+    ///    in one comparison);
     /// 2. invalid target ID (unaligned target or all-zero entry) → `hlt`;
     /// 3. valid target ID, version differs → retry (a concurrent update);
     /// 4. valid, same version, different ECN → `hlt`.
     ///
+    /// A valid target against a Bary slot that holds no ID (never filled,
+    /// or revoked by a delta) is a [`ViolationKind::EmptyBranchSlot`]
+    /// violation: the branch may reach nothing.
+    ///
     /// # Errors
     ///
-    /// Returns the [`CfiViolation`] corresponding to cases 2 and 4.
+    /// Returns the [`CfiViolation`] corresponding to cases 2 and 4, and
+    /// to an empty Bary slot.
     ///
     /// # Panics
     ///
-    /// Panics if `bary_slot` is out of range — the loader embeds constant
-    /// slot indexes, so an out-of-range slot is a loader bug, not a
-    /// runtime condition.
+    /// Panics only if `bary_slot` is out of range — the loader embeds
+    /// constant slot indexes, so an out-of-range slot is a loader bug,
+    /// not a runtime condition.
     pub fn check(&self, bary_slot: usize, target: u64) -> Result<Ecn, CfiViolation> {
         loop {
             if let Some(verdict) = self.check_once(bary_slot, target) {
@@ -826,7 +831,8 @@ impl<S: SyncFacade> IdTablesAt<S> {
     ///
     /// # Panics
     ///
-    /// Panics if `bary_slot` is out of range, like [`IdTables::check`].
+    /// Panics only if `bary_slot` is out of range, like
+    /// [`IdTables::check`].
     pub fn check_bounded(
         &self,
         bary_slot: usize,
@@ -907,7 +913,13 @@ impl<S: SyncFacade> IdTablesAt<S> {
     ///
     /// Returns `None` when the two IDs disagree only in version (the caller
     /// — e.g. a PLT-entry check that must reload its target from the GOT
-    /// between retries, paper §5.2 — decides how to retry).
+    /// between retries, paper §5.2 — decides how to retry). Otherwise
+    /// returns [`IdTables::check`]'s verdict.
+    ///
+    /// # Panics
+    ///
+    /// Panics only if `bary_slot` is out of range, like
+    /// [`IdTables::check`].
     pub fn check_once(
         &self,
         bary_slot: usize,
@@ -915,10 +927,12 @@ impl<S: SyncFacade> IdTablesAt<S> {
     ) -> Option<Result<Ecn, CfiViolation>> {
         let branch_word = self.bary_word_at(bary_slot);
         let target_word = self.load_tary_word(target);
+        let branch_id = Id::from_word(branch_word);
         if branch_word == target_word {
-            // Case 1: single comparison completes all three checks.
-            let id = Id::from_word(branch_word).expect("bary slots always hold valid ids");
-            return Some(Ok(id.ecn()));
+            if let Some(id) = branch_id {
+                // Case 1: single comparison completes all three checks.
+                return Some(Ok(id.ecn()));
+            }
         }
         let Some(target_id) = Id::from_word(target_word) else {
             // Case 2: invalid target ID.
@@ -929,7 +943,12 @@ impl<S: SyncFacade> IdTablesAt<S> {
             };
             return Some(Err(CfiViolation { bary_slot, target, kind }));
         };
-        let branch_id = Id::from_word(branch_word).expect("bary slots always hold valid ids");
+        let Some(branch_id) = branch_id else {
+            // A valid target, but the branch's slot holds no ID (a slot
+            // no policy filled, or a delta's revoked branch).
+            let kind = ViolationKind::EmptyBranchSlot;
+            return Some(Err(CfiViolation { bary_slot, target, kind }));
+        };
         if branch_id.version() != target_id.version() {
             // Case 3: an update transaction is in flight; retry.
             self.retries.fetch_add(1, Ordering::Relaxed);
@@ -1372,6 +1391,29 @@ mod tests {
             let err = t.check(0, 8 + off).unwrap_err();
             assert_eq!(err.kind, ViolationKind::UnalignedTarget, "offset {off}");
         }
+    }
+
+    #[test]
+    fn an_empty_branch_slot_is_a_violation_not_a_panic() {
+        // The demo policy over three slots: slot 2 is never filled.
+        let t = IdTables::new(TablesConfig { code_size: 64, bary_slots: 3 });
+        t.update(
+            |addr| match addr {
+                8 => Some(1),
+                16 | 20 => Some(2),
+                _ => None,
+            },
+            |slot| (slot < 2).then_some(slot as u32 + 1),
+        );
+        assert_eq!(t.bary_word(2), 0);
+        let kind = |target| t.check(2, target).unwrap_err().kind;
+        // A zero target word equals the empty slot's word, but is no ID.
+        assert_eq!(t.tary_word(12), 0);
+        assert_eq!(kind(12), ViolationKind::NotATarget);
+        assert_eq!(kind(8), ViolationKind::EmptyBranchSlot);
+        // Bytes 2..6 straddle two all-zero entries.
+        assert_eq!(t.tary_word(2), 0);
+        assert_eq!(kind(2), ViolationKind::UnalignedTarget);
     }
 
     #[test]
@@ -1879,7 +1921,8 @@ mod tests {
 
     /// Checks every live shard against the model: raw words (0 where a
     /// delta matches the base, the tombstone where it revokes a base
-    /// target), effective words, every `check` verdict and the counters.
+    /// target), effective words, every `check` verdict (empty and revoked
+    /// Bary slots included) and the counters.
     fn verify(model: &Model, shards: &[Option<Arc<IdTables>>]) -> Result<(), TestCaseError> {
         for (k, (t, m)) in shards.iter().zip(&model.shards).enumerate() {
             prop_assert_eq!(t.is_some(), m.is_some());
@@ -1900,17 +1943,21 @@ mod tests {
                 }
             }
             for slot in 0..MODEL_TABLES.bary_slots {
-                let Some(Cell::Id(branch)) = model.effective(k, 1, slot) else { continue };
+                let branch = match model.effective(k, 1, slot) {
+                    Some(Cell::Id(ecn)) => Some(ecn),
+                    _ => None,
+                };
                 for target in 0..MODEL_TABLES.code_size as u64 + 4 {
                     let expected = if target % 4 != 0 {
                         Err(ViolationKind::UnalignedTarget)
                     } else {
-                        match model.effective(k, 0, target as usize / 4) {
-                            Some(Cell::Id(ecn)) if ecn == branch => Ok(Ecn::new(ecn)),
-                            Some(Cell::Id(ecn)) => Err(ViolationKind::EcnMismatch {
-                                branch: Ecn::new(branch),
+                        match (model.effective(k, 0, target as usize / 4), branch) {
+                            (Some(Cell::Id(ecn)), Some(b)) if ecn == b => Ok(Ecn::new(ecn)),
+                            (Some(Cell::Id(ecn)), Some(b)) => Err(ViolationKind::EcnMismatch {
+                                branch: Ecn::new(b),
                                 target: Ecn::new(ecn),
                             }),
+                            (Some(Cell::Id(_)), None) => Err(ViolationKind::EmptyBranchSlot),
                             _ => Err(ViolationKind::NotATarget),
                         }
                     };

@@ -288,49 +288,6 @@ fn random_plans_replay_deterministically() {
     );
 }
 
-/// The audit-log capacity is tunable per process and exact at the
-/// boundary: a log sized to the workload's violation count drops
-/// nothing, and shrinking it by one drops exactly one record.
-#[test]
-fn violation_log_capacity_is_exact_at_the_boundary() {
-    let src = "float g(float x) { return x; }\n\
-         int main(void) {\n\
-           void* raw = (void*)&g;\n\
-           int (*f)(int) = (int(*)(int))raw;\n\
-           int i = 0;\n\
-           while (i < 20) { int r = f(i); i = i + 1; }\n\
-           return 3;\n\
-         }";
-    let run = |capacity: usize| {
-        let popts = ProcessOptions {
-            violation_policy: ViolationPolicy::Audit,
-            violation_log_capacity: capacity,
-            ..Default::default()
-        };
-        let mut sys = System::boot_source_with(src, &opts(), popts).expect("boots");
-        let r = sys.run().expect("runs");
-        assert_eq!(r.outcome, Outcome::Exit { code: 3 }, "stdout: {}", r.stdout);
-        sys.process().violation_log().clone()
-    };
-
-    // Probe with a generous log to learn the workload's violation count.
-    let probe = run(10_000);
-    assert_eq!(probe.dropped(), 0);
-    let total = probe.records().len();
-    assert!(total >= 20, "one per iteration at least: {total}");
-
-    // Sized exactly to the workload: the last violation is retained...
-    let exact = run(total);
-    assert_eq!(exact.capacity(), total);
-    assert_eq!(exact.records().len(), total);
-    assert_eq!(exact.dropped(), 0, "nothing dropped at exact capacity");
-
-    // ...and one slot fewer drops exactly that one record.
-    let tight = run(total - 1);
-    assert_eq!(tight.records().len(), total - 1);
-    assert_eq!(tight.dropped(), 1, "exactly the boundary record is dropped");
-}
-
 /// Repeated load failures must not leak: every rejected `dlopen` bumps
 /// `load_rollbacks` by exactly one, moves the sandbox generation
 /// strictly forward (so stale icache entries die), and leaves the
