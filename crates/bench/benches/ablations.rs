@@ -1,9 +1,10 @@
 //! Ablation benches for the design choices DESIGN.md calls out:
 //!
 //! * **single-word IDs vs. split metadata** — MCFI packs the version and
-//!   the ECN into one word so a check is one load + one compare; the
-//!   ablation keeps them in two separate atomics (a TML-ish layout) and
-//!   pays two loads + two compares.
+//!   the ECN into one word so a check is one load + one compare per
+//!   table (the Fig. 4 sequence, `McfiStrategy::check`); the ablation
+//!   keeps them in two separate atomics (a TML-ish layout) and pays two
+//!   loads + two compares.
 //! * **array Tary vs. hash-map Tary** — §5.1 discusses and rejects a hash
 //!   map because of the extra instructions per lookup.
 //! * **alignment no-ops vs. address masking** — footnote 1 considers
@@ -20,6 +21,7 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use mcfi_bench::timing::{ns_per_iter, rounds, Report};
 use parking_lot::RwLock;
 
+use mcfi_tables::stm::{CheckStrategy, McfiStrategy};
 use mcfi_tables::{Id, IdTables, TablesConfig};
 
 const CODE: usize = 4096;
@@ -27,12 +29,19 @@ const CLASSES: u32 = 64;
 /// Calls per timed run.
 const ITERS: u64 = 1 << 20;
 
+const CONFIG: TablesConfig = TablesConfig { code_size: CODE, bary_slots: CLASSES as usize };
+
+fn tary_ecn(a: u64) -> Option<u32> {
+    a.is_multiple_of(16).then_some((a / 16) as u32 % CLASSES)
+}
+
+fn bary_ecn(s: usize) -> Option<u32> {
+    Some(s as u32 % CLASSES)
+}
+
 fn filled_tables() -> IdTables {
-    let t = IdTables::new(TablesConfig { code_size: CODE, bary_slots: CLASSES as usize });
-    t.update(
-        |a| (a % 16 == 0).then_some((a / 16) as u32 % CLASSES),
-        |s| Some(s as u32 % CLASSES),
-    );
+    let t = IdTables::new(CONFIG);
+    t.update(tary_ecn, bary_ecn);
     t
 }
 
@@ -117,9 +126,14 @@ fn slot(addr: u64) -> usize {
 fn main() {
     let mut report = Report::new("ablations");
     let packed = filled_tables();
+    // The packed leg runs the Fig. 4 sequence (two loads, one full-word
+    // compare) over the same policy, not `IdTables::check`, whose retry
+    // loop, delta fallbacks and ID decode the split leg does not pay.
+    let fig4 = McfiStrategy::new(CONFIG);
+    fig4.update(&tary_ecn, &bary_ecn);
     let split = SplitTables::new();
     compare(&mut report, "id_packing", ["packed_single_word", "split_metadata"], |leg| match leg {
-        0 => walk(|addr| packed.check(slot(addr), addr).is_ok()),
+        0 => walk(|addr| fig4.check(slot(addr), addr).is_ok()),
         _ => walk(|addr| split.check(slot(addr), addr)),
     });
 

@@ -272,15 +272,15 @@ impl FaultPlan {
         let mut rng = XorShift64::new(seed);
         let faults = (0..count)
             .map(|_| {
-                let point = ALL_POINTS[(rng.next() % RUNTIME_POINTS as u64) as usize];
-                let nth = 1 + rng.next() % 3;
+                let point = ALL_POINTS[(rng.next_u64() % RUNTIME_POINTS as u64) as usize];
+                let nth = 1 + rng.next_u64() % 3;
                 let param = match point {
-                    FaultPoint::UpdaterStall => rng.next() % 500,
-                    FaultPoint::TornTary => rng.next() % 8,
-                    FaultPoint::VersionWarp => 1 + rng.next() % 8,
+                    FaultPoint::UpdaterStall => rng.next_u64() % 500,
+                    FaultPoint::TornTary => rng.next_u64() % 8,
+                    FaultPoint::VersionWarp => 1 + rng.next_u64() % 8,
                     // Byte offset to corrupt, reduced mod the image
                     // length at the injection site.
-                    FaultPoint::MalformedImage => rng.next() % 4096,
+                    FaultPoint::MalformedImage => rng.next_u64() % 4096,
                     _ => 0,
                 };
                 PlannedFault { point, nth, param }
@@ -303,12 +303,12 @@ impl FaultPlan {
         let mut rng = XorShift64::new(seed ^ 0x6e65_7473_696d_u64); // "netsim"
         let faults = (0..count)
             .map(|_| {
-                let point = NET_POINTS[(rng.next() % NET_POINTS.len() as u64) as usize];
-                let nth = 1 + rng.next() % 6;
+                let point = NET_POINTS[(rng.next_u64() % NET_POINTS.len() as u64) as usize];
+                let nth = 1 + rng.next_u64() % 6;
                 let param = match point {
-                    FaultPoint::NetCorrupt => rng.next() % 256,
-                    FaultPoint::PeerAbort => rng.next() % 64,
-                    FaultPoint::SlowlorisStall => 1 + rng.next() % 12,
+                    FaultPoint::NetCorrupt => rng.next_u64() % 256,
+                    FaultPoint::PeerAbort => rng.next_u64() % 64,
+                    FaultPoint::SlowlorisStall => 1 + rng.next_u64() % 12,
                     _ => 0,
                 };
                 PlannedFault { point, nth, param }
@@ -486,12 +486,8 @@ impl Backoff {
         if self.base == 0 {
             return 0;
         }
-        let mut x = self.seed ^ fnv64(key.as_bytes()) ^ u64::from(attempt);
-        x |= 1; // xorshift state must be non-zero
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        x % self.base
+        let mut rng = XorShift64::new(self.seed ^ fnv64(key.as_bytes()) ^ u64::from(attempt));
+        rng.next_u64() % self.base
     }
 }
 
@@ -505,16 +501,21 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// The xorshift64 PRNG used for plan generation — tiny, seedable, and
-/// identical on every host.
-struct XorShift64(u64);
+/// The xorshift64 PRNG (shifts 13, 7, 17) behind chaos plans, backoff
+/// jitter, random model-checker schedules, netsim traffic scripts and
+/// the fleet's seeded schedule — tiny, seedable, and identical on every
+/// host.
+#[derive(Clone, Debug)]
+pub struct XorShift64(u64);
 
 impl XorShift64 {
-    fn new(seed: u64) -> Self {
+    /// A generator over `seed`.
+    pub fn new(seed: u64) -> Self {
         XorShift64(seed | 1) // xorshift state must be non-zero
     }
 
-    fn next(&mut self) -> u64 {
+    /// The next 64 bits.
+    pub fn next_u64(&mut self) -> u64 {
         let mut x = self.0;
         x ^= x << 13;
         x ^= x >> 7;

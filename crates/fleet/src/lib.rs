@@ -59,7 +59,9 @@ use std::fmt;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
 
-use mcfi_chaos::{Backoff, ChaosInjector, FaultPlan, FaultPoint, ALL_POINTS, RUNTIME_POINTS};
+use mcfi_chaos::{
+    Backoff, ChaosInjector, FaultPlan, FaultPoint, XorShift64, ALL_POINTS, RUNTIME_POINTS,
+};
 use mcfi_module::Module;
 use mcfi_runtime::{LoadError, Outcome, Process, ProcessOptions, RunResult, SharedImage};
 use mcfi_supervisor::{RecoveryPolicy, Supervisor, SupervisorError, SupervisorStats};
@@ -443,7 +445,8 @@ pub struct Fleet {
     health: Vec<AtomicU8>,
     opts: FleetOptions,
     global_tick: u64,
-    sched_state: u64,
+    /// The [`Schedule::Seeded`] draw (unused under round robin).
+    sched: XorShift64,
     workers: Vec<WorkerStats>,
 }
 
@@ -454,9 +457,9 @@ impl Fleet {
         if specs.is_empty() {
             return Err(FleetError::NoTenants);
         }
-        let sched_state = match opts.schedule {
-            Schedule::Seeded(seed) => seed | 1,
-            Schedule::RoundRobin => 0,
+        let sched = match opts.schedule {
+            Schedule::Seeded(seed) => XorShift64::new(seed),
+            Schedule::RoundRobin => XorShift64::new(0),
         };
         let mut tenants = Vec::with_capacity(specs.len());
         for spec in specs {
@@ -497,7 +500,7 @@ impl Fleet {
         }
         let health =
             tenants.iter().map(|_| AtomicU8::new(health_code(TenantHealth::Healthy))).collect();
-        Ok(Fleet { tenants, health, opts, global_tick: 0, sched_state, workers: Vec::new() })
+        Ok(Fleet { tenants, health, opts, global_tick: 0, sched, workers: Vec::new() })
     }
 
     /// Number of tenants.
@@ -629,15 +632,7 @@ impl Fleet {
         let n = self.tenants.len() as u64;
         match self.opts.schedule {
             Schedule::RoundRobin => (self.global_tick % n) as usize,
-            Schedule::Seeded(_) => {
-                // xorshift64; state seeded (and forced odd) at boot.
-                let mut x = self.sched_state;
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                self.sched_state = x;
-                (x % n) as usize
-            }
+            Schedule::Seeded(_) => (self.sched.next_u64() % n) as usize,
         }
     }
 

@@ -22,7 +22,7 @@ use std::cell::{Cell, RefCell};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, Once};
 
-use mcfi_chaos::{ChaosInjector, FaultPlan, FaultPoint};
+use mcfi_chaos::{ChaosInjector, FaultPlan, FaultPoint, XorShift64};
 
 /// Sentinel panic payload: the crash-site sweep killed this thread.
 pub(crate) struct McKill;
@@ -90,7 +90,7 @@ impl Core {
         let choice = if self.cursor < self.prescribed.len() {
             self.prescribed[self.cursor].min(options - 1)
         } else if let Some(rng) = &mut self.rng {
-            (rng.next() % u64::from(options)) as u8
+            (rng.next_u64() % u64::from(options)) as u8
         } else {
             0
         };
@@ -586,23 +586,4 @@ fn install_quiet_hook() {
             prev(info);
         }));
     });
-}
-
-/// The xorshift64 PRNG behind random schedules — tiny, seedable, and
-/// identical on every host (the same generator chaos plans use).
-pub(crate) struct XorShift64(u64);
-
-impl XorShift64 {
-    pub(crate) fn new(seed: u64) -> Self {
-        XorShift64(seed | 1)
-    }
-
-    pub(crate) fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x
-    }
 }

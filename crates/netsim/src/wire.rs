@@ -8,6 +8,8 @@
 //! the checksum rejects. The checksum is a mod-128 byte sum over
 //! everything before it; any single-byte corruption changes it.
 
+use mcfi_chaos::XorShift64;
+
 /// SYN flag: open a connection.
 pub const FLAG_SYN: u8 = 1;
 /// ACK flag: complete the handshake.
@@ -132,22 +134,13 @@ impl Default for TrafficSpec {
 /// the script is valid under the server's go-back-N discipline whatever
 /// the interleaving; the same seed yields the same script on any host.
 pub struct PacketGen {
-    state: u64,
+    rng: XorShift64,
 }
 
 impl PacketGen {
     /// A generator over `seed`.
     pub fn new(seed: u64) -> Self {
-        PacketGen { state: seed | 1 }
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut x = self.state;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.state = x;
-        x
+        PacketGen { rng: XorShift64::new(seed) }
     }
 
     /// Generates the full segment script for `spec`.
@@ -164,12 +157,12 @@ impl PacketGen {
         // Phase 2: per-connection body queues, interleaved.
         let mut queues: Vec<Vec<Segment>> = (0..conns)
             .map(|c| {
-                let n_data = 2 + (self.next() % 3) as u8;
+                let n_data = 2 + (self.rng.next_u64() % 3) as u8;
                 let mut q: Vec<Segment> = (0..n_data)
                     .map(|seq| {
-                        let len = 2 + (self.next() % 6) as usize;
+                        let len = 2 + (self.rng.next_u64() % 6) as usize;
                         let payload =
-                            (0..len).map(|_| (self.next() % 96) as u8).collect();
+                            (0..len).map(|_| (self.rng.next_u64() % 96) as u8).collect();
                         Segment::data(c, seq, payload)
                     })
                     .collect();
@@ -193,7 +186,7 @@ impl PacketGen {
             let nonempty: Vec<usize> = (0..queues.len())
                 .filter(|&i| !queues[i].is_empty())
                 .collect();
-            let pick = nonempty[(self.next() % nonempty.len() as u64) as usize];
+            let pick = nonempty[(self.rng.next_u64() % nonempty.len() as u64) as usize];
             out.push(queues[pick].remove(0));
         }
         out

@@ -876,6 +876,186 @@ mod tests {
         assert_eq!(comparable(&second), comparable(&first), "the rerun marks plugged again");
     }
 
+    /// The host of the loader-trace tests: it `dlopen`s `libl` and calls
+    /// into it. Its `struct Shape` is what the type-clash stage collides
+    /// with; its heap write lands where the restored `brk` says.
+    const TRACE_HOST: &str = "struct Shape { int a; };\n\
+        int dlopen(char* name);\n\
+        void* dlsym(char* name);\n\
+        void* malloc(int n);\n\
+        int main(void) {\n\
+          struct Shape s; s.a = 2;\n\
+          char* heap = (char*)malloc(16);\n\
+          heap[0] = 5;\n\
+          if (!dlopen(\"libl\")) { return -2; }\n\
+          int (*f)(int) = (int(*)(int))dlsym(\"l_entry\");\n\
+          return f(4) + s.a + heap[0];\n\
+        }";
+
+    /// `libl`. Each part shows a piece of loader state that an undone
+    /// load of [`TRACE_F`] must not leave behind: its typedef clashes with
+    /// `TRACE_F`'s (the type union), it defines `f_only`, which `TRACE_F`
+    /// imports (the GOT map), it imports `f_plt` as `TRACE_F` does (the
+    /// PLT map and the GOT cursor), and its code embeds its global's
+    /// address, its stub's and its Bary slot numbers (the data and code
+    /// cursors and the slot count).
+    const TRACE_LIB: &str = "typedef char Meters;\n\
+        int f_plt(int v);\n\
+        int l_counter = 5;\n\
+        int f_only(int v) { return v * 3; }\n\
+        int l_entry(int v) {\n\
+          Meters c = 1;\n\
+          l_counter = l_counter + v;\n\
+          if (v < 0) { return f_plt(v); }\n\
+          return f_only(v) + l_counter + c;\n\
+        }";
+
+    /// A module that loads on its own: a typedef, two imports routed
+    /// through fresh PLT stubs and GOT slots, and code.
+    const TRACE_F: &str = "typedef int Meters;\n\
+        int f_only(int v);\n\
+        int f_plt(int v);\n\
+        int f_uses(int v) { Meters m = v; return f_only(m) + f_plt(m); }";
+
+    /// The trace host with `libl` registered, uncached so that a
+    /// restore's generation bump leaves the cache counters alone.
+    fn trace_host() -> Process {
+        let popts = ProcessOptions { fetch: FetchMode::Decode, ..Default::default() };
+        let mut p = boot_full(TRACE_HOST, &CodegenOptions::default(), popts);
+        p.register_library("libl", compile("libl", TRACE_LIB));
+        p
+    }
+
+    /// What a later load can see of a process, taken after one run of
+    /// the trace host: the module list, the memory image and its
+    /// mappings, the enforced policy, and the run (lifetime counters
+    /// aside).
+    struct Trace {
+        loaded: Vec<(String, u64)>,
+        image: Vec<u8>,
+        regions: Vec<mem::Region>,
+        policy: String,
+        run: RunResult,
+    }
+
+    fn trace(p: &mut Process) -> Trace {
+        let run = RunResult { checkpoints: 0, restores: 0, ..p.run("__start").unwrap() };
+        Trace {
+            loaded: p.loaded(),
+            image: p.mem().raw().to_vec(),
+            regions: p.mem().regions().to_vec(),
+            policy: format!("{:?}", p.current_policy()),
+            run,
+        }
+    }
+
+    fn assert_same_trace(got: &Trace, want: &Trace, what: &str) {
+        assert_eq!(got.loaded, want.loaded, "{what}: loaded modules");
+        assert!(got.image == want.image, "{what}: memory image");
+        assert_eq!(got.regions, want.regions, "{what}: mappings");
+        assert!(got.policy == want.policy, "{what}: enforced policy");
+        assert_eq!(got.run, want.run, "{what}: run result");
+    }
+
+    #[test]
+    fn a_failed_load_leaves_no_trace_in_the_next_load() {
+        use mcfi_chaos::{FaultPlan, FaultPoint};
+        let clean = trace(&mut trace_host());
+        assert_eq!(clean.run.outcome, Outcome::Exit { code: 29 });
+        assert!(clean.loaded.iter().any(|(m, _)| m == "__plt_f_plt"), "libl made a PLT stub");
+        // The typedef merges before the struct clashes.
+        let clash = "typedef int Meters;\n\
+                     struct Shape { int a; int b; };\n\
+                     int f_shape(struct Shape* s) { return s->a; }";
+        // The data relocation fails after the code's PLT stubs and GOT
+        // slots were made.
+        let unresolved = format!("{TRACE_F}\nint ghost(int x);\nint (*g)(int) = ghost;");
+        type Stage<'a> = (&'a str, &'a str, Option<FaultPoint>, fn(&LoadError) -> bool);
+        let stages: [Stage<'_>; 4] = [
+            ("type clash", clash, None, |e| matches!(e, LoadError::TypeClash(_))),
+            ("unresolved", &unresolved, None, |e| matches!(e, LoadError::Unresolved(_))),
+            ("verifier-reject", TRACE_F, Some(FaultPoint::VerifierReject), |e| {
+                matches!(e, LoadError::Rejected(_))
+            }),
+            ("cfg-regen-fail", TRACE_F, Some(FaultPoint::CfgRegenFail), |e| {
+                matches!(e, LoadError::CfgRegen(_))
+            }),
+        ];
+        for (stage, src, fault, expected) in stages {
+            let mut p = trace_host();
+            if let Some(point) = fault {
+                p.arm_chaos(FaultPlan::new().with(point, 1, 0));
+            }
+            let err = p.load(compile("f", src)).expect_err(stage);
+            p.disarm_chaos();
+            assert!(expected(&err), "{stage}: {err}");
+            assert_eq!(p.load_rollbacks(), 1, "{stage}");
+            assert_same_trace(&trace(&mut p), &clean, stage);
+        }
+    }
+
+    #[test]
+    fn a_restore_leaves_no_trace_in_the_next_load() {
+        let mut p = trace_host();
+        let cp = p.checkpoint_now().clone();
+        let first = trace(&mut p);
+        assert_eq!(first.run.outcome, Outcome::Exit { code: 29 });
+        p.restore(&cp).expect("restore succeeds");
+        assert_same_trace(&trace(&mut p), &first, "a dlopen after a restore");
+
+        // Once a restore has undone `libl`, a module whose types clash
+        // with it loads as into the host that never had it.
+        p.restore(&cp).expect("restore succeeds");
+        p.load(compile("f", TRACE_F)).expect("loads once libl is undone");
+        let mut fresh = trace_host();
+        fresh.load(compile("f", TRACE_F)).expect("loads into a fresh host");
+        assert_same_trace(&trace(&mut p), &trace(&mut fresh), "a load after a restore");
+    }
+
+    #[test]
+    fn a_resumed_restore_puts_back_the_run_visible_output() {
+        // The run's first line and its execve come before a long loop,
+        // its audited violation and second line after it; the oldest
+        // retained in-run checkpoint falls inside the loop.
+        let src = "int puts(char* s);\n\
+                   int execve(char* path);\n\
+                   float fsq(float x) { return x * x; }\n\
+                   int go = 1;\n\
+                   int main(void) {\n\
+                     puts(\"first\");\n\
+                     if (go) { execve(\"/bin/sh\"); }\n\
+                     int i = 0;\n\
+                     while (i < 2000) { i = i + 1; }\n\
+                     void* raw = (void*)&fsq;\n\
+                     int (*f)(int) = (int(*)(int))raw;\n\
+                     int r = f(3);\n\
+                     puts(\"second\");\n\
+                     return 7;\n\
+                   }";
+        let popts = ProcessOptions {
+            fetch: FetchMode::Decode,
+            violation_policy: ViolationPolicy::Audit,
+            checkpoint_interval: 1_000,
+            ..Default::default()
+        };
+        let mut p = boot_full(src, &CodegenOptions::default(), popts);
+        let comparable = |r: RunResult| RunResult { checkpoints: 0, restores: 0, ..r };
+        let whole = comparable(p.run("__start").unwrap());
+        assert_eq!(whole.stdout, "first\nsecond\n");
+        assert!(whole.execve_reached && whole.audited_violations > 0, "{whole:?}");
+        let cp = p.checkpoints()[0].clone();
+        assert!(cp.resumable());
+        // A second run without the execve leaves the live process
+        // holding a different stdout, violation log and execve flag from
+        // the checkpoint's.
+        assert!(p.poke_global_int("go", 0));
+        let second = p.run("__start").unwrap();
+        assert!(!second.execve_reached && second.audited_violations > 0);
+        p.restore(&cp).expect("restore succeeds");
+        let resumed = comparable(p.run("__start").unwrap());
+        assert_eq!(resumed, whole, "the resumed run finishes the first run");
+    }
+
     #[test]
     fn attached_processes_load_the_image_modules_themselves() {
         let modules = vec![

@@ -426,7 +426,34 @@ struct LoadedModule {
 #[derive(Clone)]
 enum LibraryEntry {
     Decoded(Arc<Module>),
-    Image(Vec<u8>),
+    Image(Arc<[u8]>),
+}
+
+/// Everything a restore puts back besides memory and VM registers: the
+/// loader's placement state, the library registry, and run-visible
+/// output. A checkpoint holds one copy and a load transaction another;
+/// modules and registered images sit behind `Arc`s, so a copy moves
+/// pointers, never module or image bytes.
+#[derive(Clone)]
+struct LoaderState {
+    modules: Vec<LoadedModule>,
+    registry: HashMap<String, LibraryEntry>,
+    /// symbol -> GOT slot address (for PLT-routed imports).
+    got: BTreeMap<String, u64>,
+    /// symbol -> PLT stub entry address.
+    plt: BTreeMap<String, u64>,
+    next_code: u64,
+    next_data: u64,
+    got_next: u64,
+    brk: u64,
+    total_slots: usize,
+    /// Union of all loaded modules' type environments, grown at load time
+    /// so clashes surface as load errors (not CFG-generation panics).
+    env: TypeEnv,
+    stdout: Vec<u8>,
+    execve_reached: bool,
+    /// Violations recorded under [`ViolationPolicy::Audit`].
+    violations: ViolationLog,
 }
 
 /// A restorable snapshot of a process: memory image, loader state, the
@@ -448,19 +475,7 @@ pub struct Checkpoint {
     /// VM register state for resumable in-run checkpoints (`None` for
     /// between-run checkpoints — restore then re-runs from the entry).
     vm: Option<VmState>,
-    modules: Vec<LoadedModule>,
-    registry: HashMap<String, LibraryEntry>,
-    got: BTreeMap<String, u64>,
-    plt: BTreeMap<String, u64>,
-    next_code: u64,
-    next_data: u64,
-    got_next: u64,
-    brk: u64,
-    total_slots: usize,
-    env: TypeEnv,
-    stdout: Vec<u8>,
-    execve_reached: bool,
-    violations: ViolationLog,
+    state: LoaderState,
     /// Table version at capture (diagnostic only — never restored).
     table_version: u32,
 }
@@ -468,7 +483,7 @@ pub struct Checkpoint {
 impl Checkpoint {
     /// Names of the modules loaded when the checkpoint was taken.
     pub fn module_names(&self) -> Vec<String> {
-        self.modules.iter().map(|m| m.module.name.clone()).collect()
+        self.state.modules.iter().map(|m| m.module.name.clone()).collect()
     }
 
     /// Whether the checkpoint captured resumable VM state (an in-run
@@ -593,37 +608,13 @@ pub struct QuarantineStatus {
     pub last_error: String,
 }
 
-#[derive(Clone, Debug)]
-struct QuarantineEntry {
-    failures: u32,
-    retry_at: u64,
-    banned: bool,
-    reason: QuarantineReason,
-    last_error: String,
-}
-
 /// An MCFI process: sandboxed memory, shared ID tables, loaded modules,
 /// GOT/PLT state, and the trusted runtime services.
 pub struct Process {
     opts: ProcessOptions,
     mem: Sandbox,
     tables: Arc<IdTables>,
-    modules: Vec<LoadedModule>,
-    registry: HashMap<String, LibraryEntry>,
-    /// symbol -> GOT slot address (for PLT-routed imports).
-    got: BTreeMap<String, u64>,
-    /// symbol -> PLT stub entry address.
-    plt: BTreeMap<String, u64>,
-    next_code: u64,
-    next_data: u64,
-    got_next: u64,
-    brk: u64,
-    total_slots: usize,
-    /// Union of all loaded modules' type environments, grown at load time
-    /// so clashes surface as load errors (not CFG-generation panics).
-    env: TypeEnv,
-    stdout: Vec<u8>,
-    execve_reached: bool,
+    state: LoaderState,
     updates: u64,
     /// Published cycle counter (for external updater threads).
     cycles_shared: Arc<AtomicU64>,
@@ -635,8 +626,6 @@ pub struct Process {
     chaos: Option<Arc<ChaosInjector>>,
     /// Dynamic loads rolled back after a mid-`dlopen` failure.
     load_rollbacks: u64,
-    /// Violations recorded under [`ViolationPolicy::Audit`].
-    violations: ViolationLog,
     /// Recent checkpoints, oldest first (bounded; see `MAX_CHECKPOINTS`).
     checkpoints: Vec<Checkpoint>,
     /// Checkpoints captured over the process lifetime.
@@ -649,8 +638,8 @@ pub struct Process {
     /// Quarantine policy (None = quarantine disabled, failed loads
     /// retry freely — the pre-supervisor behavior).
     quarantine: Option<QuarantineConfig>,
-    /// Per-library quarantine state.
-    quarantine_entries: HashMap<String, QuarantineEntry>,
+    /// Per-library quarantine state, by library name.
+    quarantine_entries: BTreeMap<String, QuarantineStatus>,
     /// Libraries banned so far (process lifetime total).
     quarantines: u64,
     /// `dlopen`s refused without a load attempt (backoff or ban).
@@ -659,20 +648,9 @@ pub struct Process {
     admission_rejects: u64,
 }
 
-/// Snapshot of the loader-visible process state, taken before a dynamic
-/// load so a mid-load failure can be rolled back (§6's three steps become
-/// one transaction). The ID tables need no snapshot: every load path
-/// mutates them only in the final, infallible update transaction.
-struct LoadTx {
-    mem: SandboxSnapshot,
-    modules_len: usize,
-    got: BTreeMap<String, u64>,
-    plt: BTreeMap<String, u64>,
-    next_code: u64,
-    next_data: u64,
-    got_next: u64,
-    total_slots: usize,
-    env: TypeEnv,
+/// A sandbox fault met by the loader.
+fn mem_err(e: MemFault) -> LoadError {
+    LoadError::Mem(e.to_string())
 }
 
 /// Rejects inconsistent [`Layout`]s before any of their arithmetic runs:
@@ -762,30 +740,32 @@ impl Process {
             opts,
             mem,
             tables,
-            modules: Vec::new(),
-            registry: HashMap::new(),
-            got: BTreeMap::new(),
-            plt: BTreeMap::new(),
-            next_code: l.code_base,
-            next_data: got_area + 0x1000, // 4 KiB of GOT slots
-            got_next: got_area,
-            brk: l.heap_base,
-            total_slots: 0,
-            env: TypeEnv::new(),
-            stdout: Vec::new(),
-            execve_reached: false,
+            state: LoaderState {
+                modules: Vec::new(),
+                registry: HashMap::new(),
+                got: BTreeMap::new(),
+                plt: BTreeMap::new(),
+                next_code: l.code_base,
+                next_data: got_area + 0x1000, // 4 KiB of GOT slots
+                got_next: got_area,
+                brk: l.heap_base,
+                total_slots: 0,
+                env: TypeEnv::new(),
+                stdout: Vec::new(),
+                execve_reached: false,
+                violations: ViolationLog::default(),
+            },
             updates: 0,
             cycles_shared: Arc::new(AtomicU64::new(0)),
             icache: PredecodeCache::new(),
             chaos: None,
             load_rollbacks: 0,
-            violations: ViolationLog::default(),
             checkpoints: Vec::new(),
             checkpoints_taken: 0,
             restores: 0,
             pending_resume: None,
             quarantine: None,
-            quarantine_entries: HashMap::new(),
+            quarantine_entries: BTreeMap::new(),
             quarantines: 0,
             quarantine_denials: 0,
             admission_rejects: 0,
@@ -815,7 +795,7 @@ impl Process {
     /// The violations recorded by the most recent run under
     /// [`ViolationPolicy::Audit`] (empty under `Enforce`).
     pub fn violation_log(&self) -> &ViolationLog {
-        &self.violations
+        &self.state.violations
     }
 
     /// Dynamic loads rolled back so far (process lifetime total).
@@ -865,19 +845,7 @@ impl Process {
             mem,
             digest,
             vm: vm.map(Vm::snapshot),
-            modules: self.modules.clone(),
-            registry: self.registry.clone(),
-            got: self.got.clone(),
-            plt: self.plt.clone(),
-            next_code: self.next_code,
-            next_data: self.next_data,
-            got_next: self.got_next,
-            brk: self.brk,
-            total_slots: self.total_slots,
-            env: self.env.clone(),
-            stdout: self.stdout.clone(),
-            execve_reached: self.execve_reached,
-            violations: self.violations.clone(),
+            state: self.state.clone(),
             table_version: self.tables.current_version().raw(),
         }
     }
@@ -886,14 +854,15 @@ impl Process {
     /// of them copied.
     #[cfg(test)]
     pub(crate) fn shares_modules_with(&self, cp: &Checkpoint) -> bool {
-        self.modules.len() == cp.modules.len()
-            && self.modules.iter().zip(&cp.modules).all(|(a, b)| Arc::ptr_eq(&a.module, &b.module))
+        let (ours, theirs) = (&self.state.modules, &cp.state.modules);
+        ours.len() == theirs.len()
+            && ours.iter().zip(theirs).all(|(a, b)| Arc::ptr_eq(&a.module, &b.module))
     }
 
     /// The loaded modules, PLT stubs included, in load order.
     #[cfg(test)]
     pub(crate) fn loaded_modules(&self) -> impl Iterator<Item = &Arc<Module>> {
-        self.modules.iter().map(|lm| &lm.module)
+        self.state.modules.iter().map(|lm| &lm.module)
     }
 
     fn push_checkpoint(&mut self, cp: Checkpoint) {
@@ -927,19 +896,7 @@ impl Process {
             return Err(RestoreError::Corrupt { expected: cp.digest, actual });
         }
         self.mem.restore(&cp.mem);
-        self.modules.clone_from(&cp.modules);
-        self.registry = cp.registry.clone();
-        self.got = cp.got.clone();
-        self.plt = cp.plt.clone();
-        self.next_code = cp.next_code;
-        self.next_data = cp.next_data;
-        self.got_next = cp.got_next;
-        self.brk = cp.brk;
-        self.total_slots = cp.total_slots;
-        self.env = cp.env.clone();
-        self.stdout = cp.stdout.clone();
-        self.execve_reached = cp.execve_reached;
-        self.violations = cp.violations.clone();
+        self.state = cp.state.clone();
         self.pending_resume = cp.vm.clone();
         // Re-sync the tables to the restored module set with a forward
         // update transaction (never a rollback).
@@ -975,39 +932,46 @@ impl Process {
     /// Bans `name` outright (supervisor use: the module owned a faulting
     /// branch). Counts as a quarantine regardless of its failure history.
     pub fn quarantine_module(&mut self, name: &str, reason: &str) {
-        let entry = self.quarantine_entries.entry(name.to_string()).or_insert(QuarantineEntry {
-            failures: 0,
-            retry_at: 0,
-            banned: false,
-            reason: QuarantineReason::CfiViolation,
-            last_error: String::new(),
-        });
-        entry.failures += 1;
-        entry.reason = QuarantineReason::CfiViolation;
-        entry.last_error = reason.to_string();
-        if !entry.banned {
-            entry.banned = true;
-            self.quarantines += 1;
-        }
+        self.note_failure(name, QuarantineReason::CfiViolation, reason.to_string(), 0);
     }
 
     /// The quarantine state of every library that has ever failed,
     /// sorted by name.
     pub fn quarantine_report(&self) -> Vec<QuarantineStatus> {
-        let mut out: Vec<QuarantineStatus> = self
-            .quarantine_entries
-            .iter()
-            .map(|(name, e)| QuarantineStatus {
-                library: name.clone(),
-                failures: e.failures,
-                retry_at: e.retry_at,
-                banned: e.banned,
-                reason: e.reason,
-                last_error: e.last_error.clone(),
-            })
-            .collect();
-        out.sort_by(|a, b| a.library.cmp(&b.library));
-        out
+        self.quarantine_entries.values().cloned().collect()
+    }
+
+    /// Counts one failure of `name` in the quarantine ledger and bans the
+    /// library once its failures reach `ban_at`, counting each ban once.
+    /// Returns the entry while the library stays unbanned by this call.
+    fn note_failure(
+        &mut self,
+        name: &str,
+        reason: QuarantineReason,
+        last_error: String,
+        ban_at: u32,
+    ) -> Option<&mut QuarantineStatus> {
+        let entry = self.quarantine_entries.entry(name.to_string()).or_insert_with(|| {
+            QuarantineStatus {
+                library: name.to_string(),
+                failures: 0,
+                retry_at: 0,
+                banned: false,
+                reason,
+                last_error: String::new(),
+            }
+        });
+        entry.failures += 1;
+        entry.reason = reason;
+        entry.last_error = last_error;
+        if entry.failures < ban_at {
+            return Some(entry);
+        }
+        if !entry.banned {
+            entry.banned = true;
+            self.quarantines += 1;
+        }
+        None
     }
 
     /// Libraries banned so far (process lifetime total).
@@ -1037,24 +1001,9 @@ impl Process {
             LoadError::Admission(_) => QuarantineReason::MalformedImage,
             _ => QuarantineReason::LoadFailed,
         };
-        let entry = self.quarantine_entries.entry(name.to_string()).or_insert(QuarantineEntry {
-            failures: 0,
-            retry_at: 0,
-            banned: false,
-            reason,
-            last_error: String::new(),
-        });
-        entry.failures += 1;
-        entry.reason = reason;
-        entry.last_error = err.to_string();
-        if entry.failures >= cfg.max_failures {
-            if !entry.banned {
-                entry.banned = true;
-                self.quarantines += 1;
-            }
-            return;
+        if let Some(entry) = self.note_failure(name, reason, err.to_string(), cfg.max_failures) {
+            entry.retry_at = now.saturating_add(cfg.backoff().delay(name, entry.failures));
         }
-        entry.retry_at = now.saturating_add(cfg.backoff().delay(name, entry.failures));
     }
 
     /// Clears quarantine state after a successful load.
@@ -1065,7 +1014,7 @@ impl Process {
     /// The name of the loaded module whose code region contains `pc`
     /// (supervisor use: attributing a CFI violation to a module).
     pub fn module_at(&self, pc: u64) -> Option<&str> {
-        self.modules.iter().find_map(|lm| {
+        self.state.modules.iter().find_map(|lm| {
             let len = lm.module.code.len().max(4) as u64;
             (lm.code_base <= pc && pc < lm.code_base + len).then_some(lm.module.name.as_str())
         })
@@ -1104,7 +1053,7 @@ impl Process {
     /// passed as `Arc<Module>` is registered, checkpointed and loaded
     /// without a copy.
     pub fn register_library(&mut self, file_name: &str, module: impl Into<Arc<Module>>) {
-        self.registry.insert(file_name.to_string(), LibraryEntry::Decoded(module.into()));
+        self.state.registry.insert(file_name.to_string(), LibraryEntry::Decoded(module.into()));
     }
 
     /// Registers an *untrusted* serialized module image that `dlopen`
@@ -1115,7 +1064,7 @@ impl Process {
     /// transaction, so a hostile image is rejected with `dlopen`
     /// returning 0 and the process state untouched.
     pub fn register_library_image(&mut self, file_name: &str, image: Vec<u8>) {
-        self.registry.insert(file_name.to_string(), LibraryEntry::Image(image));
+        self.state.registry.insert(file_name.to_string(), LibraryEntry::Image(image.into()));
     }
 
     /// Untrusted images refused by the admission pipeline (process
@@ -1126,7 +1075,7 @@ impl Process {
 
     /// Loaded modules' names and code bases (diagnostics).
     pub fn loaded(&self) -> Vec<(String, u64)> {
-        self.modules.iter().map(|m| (m.module.name.clone(), m.code_base)).collect()
+        self.state.modules.iter().map(|m| (m.module.name.clone(), m.code_base)).collect()
     }
 
     /// The sandbox (for verifier access and attack simulations).
@@ -1136,7 +1085,7 @@ impl Process {
 
     /// Resolves a global variable to its absolute data address.
     pub fn global(&self, name: &str) -> Option<u64> {
-        for lm in &self.modules {
+        for lm in &self.state.modules {
             if let Some(g) = lm.module.globals.get(name) {
                 return Some(lm.data_base + g.offset as u64);
             }
@@ -1182,7 +1131,7 @@ impl Process {
     /// The loaded modules with their code bases, for policy generation by
     /// external tooling (e.g. installing a baseline policy).
     pub fn placed_modules(&self) -> Vec<Placed<'_>> {
-        self.modules
+        self.state.modules
             .iter()
             .map(|lm| Placed { module: &lm.module, code_base: lm.code_base })
             .collect()
@@ -1199,7 +1148,7 @@ impl Process {
 
     /// Resolves an exported function to its absolute address.
     pub fn symbol(&self, name: &str) -> Option<u64> {
-        for lm in &self.modules {
+        for lm in &self.state.modules {
             if let Some(f) = lm.module.functions.get(name) {
                 if f.size > 0 && !f.is_static {
                     return Some(lm.code_base + f.offset as u64);
@@ -1210,36 +1159,22 @@ impl Process {
     }
 
     fn resolve_func(&self, module_idx: usize, name: &str) -> Option<u64> {
-        let own = &self.modules[module_idx];
-        if let Some(f) = own.module.functions.get(name) {
-            if f.size > 0 {
-                return Some(own.code_base + f.offset as u64);
-            }
+        let own = &self.state.modules[module_idx];
+        match own.module.functions.get(name) {
+            Some(f) if f.size > 0 => Some(own.code_base + f.offset as u64),
+            _ => self.symbol(name),
         }
-        for lm in &self.modules {
-            if let Some(f) = lm.module.functions.get(name) {
-                if f.size > 0 && !f.is_static {
-                    return Some(lm.code_base + f.offset as u64);
-                }
-            }
-        }
-        None
     }
 
     fn resolve_global(&self, module_idx: usize, name: &str) -> Option<u64> {
-        let own = &self.modules[module_idx];
+        let own = &self.state.modules[module_idx];
         if let Some(g) = own.module.globals.get(name) {
             return Some(own.data_base + g.offset as u64);
         }
         if name.starts_with("__str") {
             return None; // string-pool globals are module-private
         }
-        for lm in &self.modules {
-            if let Some(g) = lm.module.globals.get(name) {
-                return Some(lm.data_base + g.offset as u64);
-            }
-        }
-        None
+        self.global(name)
     }
 
     /// Loads a module into the process and installs the new CFG.
@@ -1269,16 +1204,7 @@ impl Process {
         &mut self,
         modules: impl IntoIterator<Item = impl Into<Arc<Module>>>,
     ) -> Result<(), LoadError> {
-        let tx = self.begin_load();
-        let result = modules
-            .into_iter()
-            .try_for_each(|m| self.load_no_update(m.into()))
-            .and_then(|()| self.finish_load());
-        if let Err(e) = result {
-            self.rollback_load(tx);
-            return Err(e);
-        }
-        Ok(())
+        self.load_tx(|p| modules.into_iter().try_for_each(|m| p.load_no_update(m.into())))
     }
 
     /// Admits an *untrusted* serialized module image: decodes it under
@@ -1326,26 +1252,17 @@ impl Process {
     /// [`AdmissionError::VerifierReject`] and count into
     /// [`Process::admission_rejects`].
     pub fn load_untrusted(&mut self, module: Module) -> Result<(), LoadError> {
-        let tx = self.begin_load();
-        let result = self
-            .load_no_update(Arc::new(module))
-            .and_then(|()| self.verify_last_module())
-            .and_then(|()| self.finish_load());
-        if let Err(e) = result {
-            self.rollback_load(tx);
-            if matches!(e, LoadError::Admission(_)) {
-                self.admission_rejects += 1;
-            }
-            return Err(e);
-        }
-        Ok(())
+        self.load_tx(|p| {
+            p.load_no_update(Arc::new(module))?;
+            p.verify_last_module()
+        })
     }
 
     /// Runs the machine-code verifier over the most recently prepared
     /// module (still pristine in the module list — relocations are
     /// applied to the sandbox copy, not the stored image).
     fn verify_last_module(&mut self) -> Result<(), LoadError> {
-        let Some(lm) = self.modules.last() else { return Ok(()) };
+        let Some(lm) = self.state.modules.last() else { return Ok(()) };
         let report = mcfi_verifier::verify(&lm.module);
         if report.ok() {
             return Ok(());
@@ -1360,31 +1277,28 @@ impl Process {
         Err(LoadError::Admission(AdmissionError::VerifierReject { reason }))
     }
 
-    fn begin_load(&mut self) -> LoadTx {
-        LoadTx {
-            mem: self.mem.snapshot(),
-            modules_len: self.modules.len(),
-            got: self.got.clone(),
-            plt: self.plt.clone(),
-            next_code: self.next_code,
-            next_data: self.next_data,
-            got_next: self.got_next,
-            total_slots: self.total_slots,
-            env: self.env.clone(),
+    /// The load transaction behind [`Process::load_all`] and
+    /// [`Process::load_untrusted`] (§6's three steps as one unit): runs
+    /// `prepare`, then [`Process::finish_load`]; on any failure puts the
+    /// memory image and the loader state back and counts the rollback
+    /// (and an admission reject). The ID tables need no snapshot: every
+    /// load path mutates them only in the final, infallible update
+    /// transaction.
+    fn load_tx(
+        &mut self,
+        prepare: impl FnOnce(&mut Self) -> Result<(), LoadError>,
+    ) -> Result<(), LoadError> {
+        let (mem, state) = (self.mem.snapshot(), self.state.clone());
+        let result = prepare(self).and_then(|()| self.finish_load());
+        if let Err(e) = &result {
+            self.mem.restore(&mem);
+            self.state = state;
+            self.load_rollbacks += 1;
+            if matches!(e, LoadError::Admission(_)) {
+                self.admission_rejects += 1;
+            }
         }
-    }
-
-    fn rollback_load(&mut self, tx: LoadTx) {
-        self.mem.restore(&tx.mem);
-        self.modules.truncate(tx.modules_len);
-        self.got = tx.got;
-        self.plt = tx.plt;
-        self.next_code = tx.next_code;
-        self.next_data = tx.next_data;
-        self.got_next = tx.got_next;
-        self.total_slots = tx.total_slots;
-        self.env = tx.env;
-        self.load_rollbacks += 1;
+        result
     }
 
     /// The fallible tail of a load: the verifier pass and CFG
@@ -1402,97 +1316,87 @@ impl Process {
     }
 
     fn alloc_code(&mut self, len: usize) -> Result<u64, LoadError> {
-        let base = (self.next_code + 15) & !15;
+        let base = (self.state.next_code + 15) & !15;
         let end = base + len as u64;
         if end > self.opts.layout.code_limit {
             return Err(LoadError::OutOfSpace("code"));
         }
-        self.next_code = end;
+        self.state.next_code = end;
         Ok(base)
     }
 
     fn load_no_update(&mut self, module: Arc<Module>) -> Result<(), LoadError> {
         // The union of auxiliary type information must be consistent
         // before any state changes (paper §6: merging is a union).
-        self.env
-            .merge(&module.aux.env)
-            .map_err(|e| LoadError::TypeClash(e.to_string()))?;
+        self.state.env.merge(&module.aux.env).map_err(|e| LoadError::TypeClash(e.to_string()))?;
 
         // --- step 1: module preparation ---
         let code_base = self.alloc_code(module.code.len().max(4))?;
-        let data_base = (self.next_data + 15) & !15;
+        let data_base = (self.state.next_data + 15) & !15;
         let data_end = data_base + module.data.len() as u64;
         if data_end > self.opts.layout.heap_base {
             return Err(LoadError::OutOfSpace("data"));
         }
-        self.next_data = data_end;
-
-        // Code pages start writable but not executable (§6 step 1).
-        self.mem
-            .map(code_base, module.code.len().max(4) as u64, Perm::Rw)
-            .map_err(|e| LoadError::Mem(e.to_string()))?;
-        self.mem
-            .load_image(code_base, &module.code)
-            .map_err(|e| LoadError::Mem(e.to_string()))?;
+        self.state.next_data = data_end;
         if !module.data.is_empty() {
-            self.mem
-                .load_image(data_base, &module.data)
-                .map_err(|e| LoadError::Mem(e.to_string()))?;
+            self.mem.load_image(data_base, &module.data).map_err(mem_err)?;
         }
+        self.place(Arc::clone(&module), code_base, data_base, |p, module_idx| {
+            // Apply code relocations.
+            for r in &module.relocs {
+                p.apply_reloc(module_idx, code_base, r.patch_at, &r.kind, false)?;
+            }
+            // Fill jump tables with absolute entry addresses.
+            for t in &module.aux.jump_tables {
+                for (i, entry) in t.entries.iter().enumerate() {
+                    let at = code_base + t.table_offset as u64 + (i as u64) * 8;
+                    p.write64_loader(at, code_base + *entry as u64)?;
+                }
+            }
+            // Apply data relocations.
+            for r in &module.data_relocs {
+                p.apply_reloc(module_idx, data_base, r.patch_at, &r.kind, true)?;
+            }
+            Ok(())
+        })
+    }
 
-        let module_idx = self.modules.len();
-        self.modules.push(LoadedModule { module: Arc::clone(&module), code_base, data_base });
-
-        // Assign global Bary slots and patch the BaryLoad immediates
-        // ("the loader patches the code to embed constant Bary table
-        // indexes", §5.1).
+    /// Places a module's code at `code_base`, for loaded modules and PLT
+    /// stubs alike: maps the pages writable but not executable (§6 step
+    /// 1), writes the code, assigns the module's global Bary slots and
+    /// patches its `BaryLoad` immediates ("the loader patches the code to
+    /// embed constant Bary table indexes", §5.1), lets `link` relocate
+    /// the still-writable code, then makes the pages executable and
+    /// non-writable.
+    fn place(
+        &mut self,
+        module: Arc<Module>,
+        code_base: u64,
+        data_base: u64,
+        link: impl FnOnce(&mut Self, usize) -> Result<(), LoadError>,
+    ) -> Result<(), LoadError> {
+        self.mem.map(code_base, module.code.len().max(4) as u64, Perm::Rw).map_err(mem_err)?;
+        self.mem.load_image(code_base, &module.code).map_err(mem_err)?;
         let branches = &module.aux.indirect_branches;
-        if self.total_slots + branches.len() > self.opts.bary_capacity {
+        if self.state.total_slots + branches.len() > self.opts.bary_capacity {
             return Err(LoadError::BaryOverflow);
         }
         for (bi, branch) in branches.iter().enumerate() {
-            let slot = (self.total_slots + bi) as u32;
+            let slot = (self.state.total_slots + bi) as u32;
             let at = code_base + branch.check_offset as u64 + 2;
             for (k, byte) in slot.to_le_bytes().into_iter().enumerate() {
-                self.mem
-                    .write8(at + k as u64, byte)
-                    .map_err(|e| LoadError::Mem(e.to_string()))?;
+                self.mem.write8(at + k as u64, byte).map_err(mem_err)?;
             }
         }
-        self.total_slots += branches.len();
-
-        // Apply code relocations.
-        for r in &module.relocs {
-            self.apply_reloc(module_idx, code_base, r.patch_at, &r.kind, false)?;
-        }
-        // Fill jump tables with absolute entry addresses.
-        for t in &module.aux.jump_tables {
-            for (i, entry) in t.entries.iter().enumerate() {
-                let at = code_base + t.table_offset as u64 + (i as u64) * 8;
-                let target = code_base + *entry as u64;
-                self.write64_loader(at, target)?;
-            }
-        }
-        // Apply data relocations.
-        for r in &module.data_relocs {
-            self.apply_reloc(module_idx, data_base, r.patch_at, &r.kind, true)?;
-        }
-
-        // Code pages become executable and non-writable (§6 step 2 end).
-        self.mem
-            .protect(code_base, Perm::Rx)
-            .map_err(|e| LoadError::Mem(e.to_string()))?;
-
-        // Bind GOT entries for any imports this module satisfies. The
-        // values are written during the next update transaction (between
-        // the Tary and Bary phases), so stash them.
-        Ok(())
+        self.state.total_slots += branches.len();
+        let module_idx = self.state.modules.len();
+        self.state.modules.push(LoadedModule { module, code_base, data_base });
+        link(self, module_idx)?;
+        self.mem.protect(code_base, Perm::Rx).map_err(mem_err)
     }
 
     fn write64_loader(&mut self, addr: u64, v: u64) -> Result<(), LoadError> {
-        self.mem
-            .load_image(addr, &v.to_le_bytes())
-            .map_err(|e| LoadError::Mem(e.to_string()))
+        self.mem.load_image(addr, &v.to_le_bytes()).map_err(mem_err)
     }
 
     fn apply_reloc(
@@ -1518,11 +1422,11 @@ impl Process {
                 self.write64_loader(at, addr)?;
             }
             RelocKind::CodeAbs(o) => {
-                let code_base = self.modules[module_idx].code_base;
+                let code_base = self.state.modules[module_idx].code_base;
                 self.write64_loader(at, code_base + o)?;
             }
             RelocKind::JumpTable(i) => {
-                let lm = &self.modules[module_idx];
+                let lm = &self.state.modules[module_idx];
                 let t = lm
                     .module
                     .aux
@@ -1530,9 +1434,7 @@ impl Process {
                     .get(*i as usize)
                     .ok_or_else(|| LoadError::Unresolved(format!("jump table {i}")))?;
                 let addr = (lm.code_base + t.table_offset as u64) as u32;
-                self.mem
-                    .load_image(at, &addr.to_le_bytes())
-                    .map_err(|e| LoadError::Mem(e.to_string()))?;
+                self.mem.load_image(at, &addr.to_le_bytes()).map_err(mem_err)?;
             }
             RelocKind::GotSlot(n) => {
                 let slot = self.got_slot(n)?;
@@ -1545,65 +1447,43 @@ impl Process {
                     None => self.plt_entry(n)?, // route through the PLT
                 };
                 let rel = (target as i64 - (at as i64 + 4)) as i32;
-                self.mem
-                    .load_image(at, &rel.to_le_bytes())
-                    .map_err(|e| LoadError::Mem(e.to_string()))?;
+                self.mem.load_image(at, &rel.to_le_bytes()).map_err(mem_err)?;
             }
         }
         Ok(())
     }
 
     fn got_slot(&mut self, symbol: &str) -> Result<u64, LoadError> {
-        if let Some(&s) = self.got.get(symbol) {
+        if let Some(&s) = self.state.got.get(symbol) {
             return Ok(s);
         }
-        let slot = self.got_next;
+        let slot = self.state.got_next;
         if slot + 8 > self.opts.layout.data_base + 0x1000 {
             return Err(LoadError::OutOfSpace("GOT"));
         }
-        self.got_next += 8;
-        self.got.insert(symbol.to_string(), slot);
+        self.state.got_next += 8;
+        self.state.got.insert(symbol.to_string(), slot);
         Ok(slot)
     }
 
     /// Synthesizes (or reuses) the MCFI-instrumented PLT entry for an
     /// unresolved import.
     fn plt_entry(&mut self, symbol: &str) -> Result<u64, LoadError> {
-        if let Some(&addr) = self.plt.get(symbol) {
+        if let Some(&addr) = self.state.plt.get(symbol) {
             return Ok(addr);
         }
         let got = self.got_slot(symbol)?;
         let stub = build_plt_stub(symbol, got);
         let code_base = self.alloc_code(stub.code.len())?;
-        self.mem
-            .map(code_base, stub.code.len() as u64, Perm::Rw)
-            .map_err(|e| LoadError::Mem(e.to_string()))?;
-        self.mem
-            .load_image(code_base, &stub.code)
-            .map_err(|e| LoadError::Mem(e.to_string()))?;
         // The stub is a one-branch pseudo-module participating in CFG
         // generation like any other module.
         let mut m = Module::new(format!("__plt_{symbol}"));
-        m.code = stub.code.clone();
-        let mut branch = stub.branch.clone();
+        m.code = stub.code;
+        let mut branch = stub.branch;
         branch.local_slot = 0;
         m.aux.indirect_branches.push(branch);
-        if self.total_slots + 1 > self.opts.bary_capacity {
-            return Err(LoadError::BaryOverflow);
-        }
-        let slot = self.total_slots as u32;
-        self.total_slots += 1;
-        let at = code_base + stub.branch.check_offset as u64 + 2;
-        for (k, byte) in slot.to_le_bytes().into_iter().enumerate() {
-            self.mem
-                .write8(at + k as u64, byte)
-                .map_err(|e| LoadError::Mem(e.to_string()))?;
-        }
-        self.mem
-            .protect(code_base, Perm::Rx)
-            .map_err(|e| LoadError::Mem(e.to_string()))?;
-        self.modules.push(LoadedModule { module: Arc::new(m), code_base, data_base: 0 });
-        self.plt.insert(symbol.to_string(), code_base);
+        self.place(Arc::new(m), code_base, 0, |_, _| Ok(()))?;
+        self.state.plt.insert(symbol.to_string(), code_base);
         Ok(code_base)
     }
 
@@ -1613,7 +1493,7 @@ impl Process {
     /// The mark is copy-on-write: a checkpoint that shares the module
     /// keeps it unmarked.
     fn mark_address_taken(&mut self, name: &str) -> bool {
-        for lm in &mut self.modules {
+        for lm in &mut self.state.modules {
             if let Some(f) = lm.module.functions.get(name) {
                 if f.size > 0 && !f.is_static && !f.address_taken {
                     let module = Arc::make_mut(&mut lm.module);
@@ -1632,7 +1512,7 @@ impl Process {
 
         // GOT bindings resolvable now.
         let mut got_writes: Vec<(u64, u64)> = Vec::new();
-        for (symbol, slot) in &self.got {
+        for (symbol, slot) in &self.state.got {
             if let Some(addr) = self.symbol(symbol) {
                 got_writes.push((*slot, addr));
             }
@@ -1658,12 +1538,7 @@ impl Process {
     /// The current control-flow policy (regenerated on demand, for
     /// statistics and the security metrics).
     pub fn current_policy(&self) -> ControlFlowPolicy {
-        let placed: Vec<Placed<'_>> = self
-            .modules
-            .iter()
-            .map(|lm| Placed { module: &lm.module, code_base: lm.code_base })
-            .collect();
-        generate(&placed)
+        generate(&self.placed_modules())
     }
 
     /// Prepares a VM positioned at exported function `entry` and resets
@@ -1682,9 +1557,9 @@ impl Process {
         let pc = self.symbol(entry).ok_or_else(|| LoadError::Unresolved(entry.to_string()))?;
         let mut vm = Vm::new(pc);
         vm.regs[mcfi_machine::Reg::Rsp.index()] = self.opts.layout.stack_top;
-        self.stdout.clear();
-        self.execve_reached = false;
-        self.violations.clear();
+        self.state.stdout.clear();
+        self.state.execve_reached = false;
+        self.state.violations.clear();
         Ok(vm)
     }
 
@@ -1700,7 +1575,7 @@ impl Process {
         let tx = self.tables.tx_counters();
         RunResult {
             outcome,
-            stdout: String::from_utf8_lossy(&self.stdout).into_owned(),
+            stdout: String::from_utf8_lossy(&self.state.stdout).into_owned(),
             steps: vm.stats.steps,
             cycles: vm.stats.cycles,
             checks: vm.stats.checks,
@@ -1708,13 +1583,13 @@ impl Process {
             icache_hits: vm.stats.icache_hits,
             icache_misses: vm.stats.icache_misses,
             icache_invalidations: vm.stats.icache_invalidations,
-            execve_reached: self.execve_reached,
+            execve_reached: self.state.execve_reached,
             updates: self.updates - start_updates,
             check_retries: vm.stats.check_retries,
             tx_retries: tx.retries.saturating_sub(start_tx.retries),
             tx_escalations: tx.escalations.saturating_sub(start_tx.escalations),
             tx_repairs: tx.repairs.saturating_sub(start_tx.repairs),
-            audited_violations: self.violations.total(),
+            audited_violations: self.state.violations.total(),
             load_rollbacks: self.load_rollbacks - start_rollbacks,
             checkpoints: self.checkpoints_taken,
             restores: self.restores,
@@ -1952,7 +1827,7 @@ impl Process {
             Err(CheckError::Violation(v)) => Some(v.kind),
             _ => None,
         };
-        self.violations.push(ViolationRecord { pc, bary_slot, target, kind });
+        self.state.violations.push(ViolationRecord { pc, bary_slot, target, kind });
         Some(resume)
     }
 
@@ -1961,7 +1836,7 @@ impl Process {
     /// load order).
     fn branch_addr_for_slot(&self, bary_slot: usize) -> Option<u64> {
         let mut base = 0usize;
-        for lm in &self.modules {
+        for lm in &self.state.modules {
             let branches = &lm.module.aux.indirect_branches;
             if bary_slot < base + branches.len() {
                 let b = &branches[bary_slot - base];
@@ -1984,7 +1859,7 @@ impl Process {
             if a == 1 {
                 for i in 0..c {
                     match self.mem.read8(b + i) {
-                        Ok(byte) => self.stdout.push(byte),
+                        Ok(byte) => self.state.stdout.push(byte),
                         Err(e) => return SysOutcome::Fault(FaultKind::SysMem(e)),
                     }
                 }
@@ -1994,12 +1869,12 @@ impl Process {
             }
         } else if num == Sys::Sbrk as u64 {
             let delta = a as i64;
-            let new = self.brk.wrapping_add(delta as u64);
+            let new = self.state.brk.wrapping_add(delta as u64);
             if new > self.opts.layout.heap_limit || new < self.opts.layout.heap_base {
                 0
             } else {
-                let old = self.brk;
-                self.brk = new;
+                let old = self.state.brk;
+                self.state.brk = new;
                 old
             }
         } else if num == Sys::Mmap as u64 {
@@ -2012,12 +1887,12 @@ impl Process {
                 // Only plain RW anonymous mappings are provided, carved
                 // from the heap like sbrk.
                 let len = (a + 4095) & !4095;
-                let new = self.brk + len;
+                let new = self.state.brk + len;
                 if new > self.opts.layout.heap_limit {
                     u64::MAX
                 } else {
-                    let old = self.brk;
-                    self.brk = new;
+                    let old = self.state.brk;
+                    self.state.brk = new;
                     old
                 }
             }
@@ -2032,7 +1907,7 @@ impl Process {
             }
         } else if num == Sys::Dlopen as u64 {
             match self.mem.read_cstr(a) {
-                Ok(name) => match self.registry.get(&name).cloned() {
+                Ok(name) => match self.state.registry.get(&name).cloned() {
                     // A failed load has already been rolled back; the
                     // library stays registered for a later retry, dlopen
                     // reports failure to the guest, and the process keeps
@@ -2047,12 +1922,12 @@ impl Process {
                         } else {
                             let result = match entry {
                                 LibraryEntry::Decoded(module) => self.load(module),
-                                LibraryEntry::Image(bytes) => self.load_image(bytes),
+                                LibraryEntry::Image(bytes) => self.load_image(bytes.to_vec()),
                             };
                             match result {
                                 Ok(()) => {
                                     self.note_load_success(&name);
-                                    self.registry.remove(&name);
+                                    self.state.registry.remove(&name);
                                     1
                                 }
                                 Err(e) => {
@@ -2088,7 +1963,7 @@ impl Process {
         } else if num == Sys::Execve as u64 {
             // The dangerous syscall of the GnuPG case study: the runtime
             // records that control reached it, then refuses.
-            self.execve_reached = true;
+            self.state.execve_reached = true;
             u64::MAX
         } else {
             return SysOutcome::Fault(FaultKind::UnknownSyscall(num));

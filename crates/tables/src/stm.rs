@@ -76,6 +76,9 @@ impl<S: SyncFacade> CheckStrategy for McfiStrategyAt<S> {
     /// The exact machine sequence of Fig. 4, one operation per hardware
     /// instruction: two loads, one full-word compare (fast path), then
     /// the validity test and the 16-bit version compare (slow path).
+    /// The slow path also tests the branch's word, which Fig. 4 need not
+    /// (every Bary slot of a loaded module holds an ID): against an empty
+    /// slot, the version compare would retry forever.
     fn check(&self, bary_slot: usize, target: u64) -> Result<(), CfiViolation> {
         loop {
             let branch = self.tables.bary_word(bary_slot); // movl %gs:IDX, %edi
@@ -92,6 +95,11 @@ impl<S: SyncFacade> CheckStrategy for McfiStrategyAt<S> {
                 };
                 return Err(CfiViolation { bary_slot, target, kind });
             }
+            if branch & 0x0101_0101 != 1 {
+                // A valid target, but the branch's slot holds no ID.
+                let kind = ViolationKind::EmptyBranchSlot;
+                return Err(CfiViolation { bary_slot, target, kind });
+            }
             if branch as u16 != tgt as u16 {
                 // cmpw %di, %si; jne Try
                 S::spin_hint();
@@ -102,7 +110,7 @@ impl<S: SyncFacade> CheckStrategy for McfiStrategyAt<S> {
                 target,
                 kind: ViolationKind::EcnMismatch {
                     branch: crate::Id::from_word(branch)
-                        .expect("bary slots always hold valid ids")
+                        .expect("validity checked above")
                         .ecn(),
                     target: crate::Id::from_word(tgt)
                         .expect("validity checked above")
@@ -179,6 +187,10 @@ fn classify(bary_slot: usize, target: u64, branch: u32, tgt: u32) -> Result<(), 
         } else {
             ViolationKind::NotATarget
         };
+        return Err(CfiViolation { bary_slot, target, kind });
+    }
+    if branch == 0 {
+        let kind = ViolationKind::EmptyBranchSlot;
         return Err(CfiViolation { bary_slot, target, kind });
     }
     if branch == tgt {
@@ -412,7 +424,7 @@ mod tests {
         )
     }
 
-    fn exercise(strategy: &dyn CheckStrategy) {
+    fn exercise(strategy: Arc<dyn CheckStrategy>) {
         let (t, b) = simple_policy();
         strategy.update(&t, &b);
         assert!(strategy.check(0, 8).is_ok(), "{}", strategy.name());
@@ -420,13 +432,23 @@ mod tests {
         assert!(strategy.check(0, 16).is_err(), "{}", strategy.name());
         assert!(strategy.check(0, 12).is_err(), "{}", strategy.name());
         assert!(strategy.check(0, 9).is_err(), "{}", strategy.name());
+        // Slot 2 is never filled. The check runs on a helper thread under
+        // a deadline, so a strategy that spins on the empty slot fails
+        // instead of hanging; such a thread cannot be joined and is left
+        // detached.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let s = Arc::clone(&strategy);
+        std::thread::spawn(move || tx.send(s.check(2, 8)));
+        let verdict = rx.recv_timeout(std::time::Duration::from_secs(10));
+        let kind = verdict.map(|r| r.map_err(|v| v.kind));
+        assert_eq!(kind, Ok(Err(ViolationKind::EmptyBranchSlot)), "{}", strategy.name());
     }
 
     #[test]
     fn every_strategy_enforces_the_same_policy() {
-        let config = TablesConfig { code_size: 64, bary_slots: 2 };
+        let config = TablesConfig { code_size: 64, bary_slots: 3 };
         for s in all_strategies(config) {
-            exercise(s.as_ref());
+            exercise(Arc::from(s));
         }
     }
 

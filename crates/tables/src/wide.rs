@@ -122,9 +122,11 @@ impl<S: SyncFacade> WideIdTablesAt<S> {
         loop {
             let branch = self.bary[bary_slot].load(Ordering::Acquire);
             let tgt = self.load_tary_word(target);
+            let branch_id = WideId::from_word(branch);
             if branch == tgt {
-                let ecn32 = (WideId(branch).ecn() % u64::from(crate::ECN_LIMIT)) as u32;
-                return Ok(Ecn::new(ecn32));
+                if let Some(id) = branch_id {
+                    return Ok(Ecn::new((id.ecn() % u64::from(crate::ECN_LIMIT)) as u32));
+                }
             }
             let Some(tid) = WideId::from_word(tgt) else {
                 let kind = if !target.is_multiple_of(8) {
@@ -134,7 +136,10 @@ impl<S: SyncFacade> WideIdTablesAt<S> {
                 };
                 return Err(CfiViolation { bary_slot, target, kind });
             };
-            let bid = WideId::from_word(branch).expect("bary slots hold valid wide ids");
+            let Some(bid) = branch_id else {
+                let kind = ViolationKind::EmptyBranchSlot;
+                return Err(CfiViolation { bary_slot, target, kind });
+            };
             if bid.version() != tid.version() {
                 S::spin_hint();
                 continue;
@@ -261,6 +266,25 @@ mod tests {
         assert!(t.check(0, 32).is_err());
         assert!(t.check(0, 24).is_err());
         assert!(t.check(0, 20).is_err(), "8-byte alignment required");
+    }
+
+    #[test]
+    fn an_empty_wide_branch_slot_is_a_violation_not_a_panic() {
+        // The policy above over three slots: slot 2 is never filled.
+        let t = WideIdTables::new(128, 3);
+        t.update(
+            |a| match a {
+                16 => Some(1),
+                32 | 40 => Some(2),
+                _ => None,
+            },
+            |s| [Some(1), Some(2), None][s],
+        );
+        let kind = |target| t.check(2, target).unwrap_err().kind;
+        // A zero target word equals the empty slot's word, but is no ID.
+        assert_eq!(kind(24), ViolationKind::NotATarget);
+        assert_eq!(kind(16), ViolationKind::EmptyBranchSlot);
+        assert_eq!(kind(20), ViolationKind::UnalignedTarget);
     }
 
     #[test]
