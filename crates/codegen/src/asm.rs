@@ -58,6 +58,12 @@ impl Asm {
         at
     }
 
+    /// Lets `write` append bytes directly, for sequences that lay
+    /// themselves out (the check sequence of [`mcfi_machine::check`]).
+    pub fn append<R>(&mut self, write: impl FnOnce(&mut Vec<u8>) -> R) -> R {
+        write(&mut self.bytes)
+    }
+
     /// Emits `Nop`s until the current offset is a multiple of `align`.
     pub fn align_to(&mut self, align: usize) {
         while !self.bytes.len().is_multiple_of(align) {

@@ -23,6 +23,7 @@ use mcfi_ir::{
     BlockId, CmpOp, GlobalInit, IrBinOp, IrFBinOp, IrFunction, IrInst, IrModule, Terminator,
     Value, VReg, Width,
 };
+use mcfi_machine::check::{self, Transfer};
 use mcfi_machine::{AluOp, Cond, FaluOp, Inst, Reg, SANDBOX_MASK};
 use mcfi_module::{
     BranchKind, CalleeKind, FunctionSym, GlobalSym, Import, IndirectBranchInfo, JumpTableInfo,
@@ -464,11 +465,8 @@ impl Generator {
             IrInst::CallIndirect { dst, fptr, args, sig } => {
                 self.load_args(cx, "<indirect>", args)?;
                 self.load_val(cx, *fptr, Reg::Rcx);
-                let site = self.emit_check(
-                    cx,
-                    BranchKind::IndirectCall { sig: sig.clone() },
-                    true,
-                );
+                let kind = BranchKind::IndirectCall { sig: sig.clone() };
+                let site = self.emit_check(cx, kind, Transfer::Call);
                 self.return_sites.push(ReturnSiteInfo {
                     offset: site,
                     in_function: cx.name.clone(),
@@ -508,7 +506,7 @@ impl Generator {
                 self.asm.emit(Inst::Load { dst: Reg::Rbp, base: Reg::Rax, offset: 16 });
                 self.asm.emit(Inst::MovReg { dst: Reg::Rsp, src: Reg::R14 });
                 self.asm.emit(Inst::MovReg { dst: Reg::Rax, src: Reg::R15 });
-                self.emit_check(cx, BranchKind::LongJmp, false);
+                self.emit_check(cx, BranchKind::LongJmp, Transfer::Jump);
             }
         }
         Ok(())
@@ -566,7 +564,8 @@ impl Generator {
                     self.load_args(cx, "<indirect>", args)?;
                     self.load_val(cx, *fptr, Reg::Rcx);
                     self.emit_epilogue();
-                    self.emit_check(cx, BranchKind::IndirectTailCall { sig: sig.clone() }, false);
+                    let kind = BranchKind::IndirectTailCall { sig: sig.clone() };
+                    self.emit_check(cx, kind, Transfer::Jump);
                 } else {
                     self.emit_inst(
                         cx,
@@ -604,64 +603,33 @@ impl Generator {
             return;
         }
         self.asm.emit(Inst::Pop { reg: Reg::Rcx });
-        self.emit_check(cx, BranchKind::Return { function: cx.name.clone() }, false);
+        self.emit_check(cx, BranchKind::Return { function: cx.name.clone() }, Transfer::Jump);
     }
 
-    /// Emits the check-transaction instruction sequence (paper Fig. 4) for
-    /// the indirect branch whose target is in `%rcx`. Returns the code
-    /// offset immediately after the branch instruction (the return site,
-    /// for calls).
+    /// Emits the check-transaction instruction sequence (paper Fig. 4,
+    /// [`mcfi_machine::check`]) for the indirect branch whose target is
+    /// in `%rcx`. Returns the code offset immediately after the branch
+    /// instruction (the return site, for calls).
     ///
     /// Under `Policy::NoCfi` only the raw branch is emitted.
-    fn emit_check(&mut self, cx: &FuncCtx, kind: BranchKind, is_call: bool) -> usize {
+    fn emit_check(&mut self, cx: &FuncCtx, kind: BranchKind, transfer: Transfer) -> usize {
         if !self.mcfi() {
-            let at = if is_call {
-                self.asm.emit(Inst::CallReg { reg: Reg::Rcx })
-            } else {
-                self.asm.emit(Inst::JmpReg { reg: Reg::Rcx })
+            let raw = match transfer {
+                Transfer::Call => Inst::CallReg { reg: Reg::Rcx },
+                Transfer::Jump => Inst::JmpReg { reg: Reg::Rcx },
             };
-            return at + 2;
+            return self.asm.emit(raw) + 2;
         }
         let slot = self.branches.len() as u32;
-        self.asm.emit(Inst::Trunc32 { reg: Reg::Rcx });
-        let l_try = self.asm.label();
-        let l_check = self.asm.label();
-        let l_halt = self.asm.label();
-        let l_cont = self.asm.label();
-        self.asm.bind(l_try);
-        let check_offset = self.asm.emit(Inst::BaryLoad { dst: Reg::Rdi, slot });
-        self.asm.emit(Inst::TaryLoad { dst: Reg::Rsi, addr: Reg::Rcx });
-        self.asm.emit(Inst::Cmp { a: Reg::Rdi, b: Reg::Rsi });
-        self.asm.jcc(Cond::Ne, l_check);
-        let branch_offset = if is_call {
-            // The return site (right after the call) must be 4-aligned.
-            self.asm.align_end_of_next(2, 4);
-            let at = self.asm.emit(Inst::CallReg { reg: Reg::Rcx });
-            self.asm.jmp(l_cont);
-            at
-        } else {
-            self.asm.emit(Inst::JmpReg { reg: Reg::Rcx })
-        };
-        self.asm.bind(l_check);
-        // testb $1, %sil; jz Halt — an invalid target ID halts.
-        self.asm.emit(Inst::TestImm { a: Reg::Rsi, imm: 1 });
-        self.asm.jcc(Cond::Eq, l_halt);
-        // cmpw %di, %si; jne Try — version skew retries the transaction.
-        self.asm.emit(Inst::Cmp16 { a: Reg::Rdi, b: Reg::Rsi });
-        self.asm.jcc(Cond::Ne, l_try);
-        self.asm.bind(l_halt);
-        self.asm.emit(Inst::Hlt);
-        if is_call {
-            self.asm.bind(l_cont);
-        }
+        let check = self.asm.append(|code| check::emit(code, slot, transfer, None));
         self.branches.push(IndirectBranchInfo {
             local_slot: slot,
-            check_offset,
-            branch_offset,
+            check_offset: check.start,
+            branch_offset: check.branch,
             in_function: cx.name.clone(),
             kind,
         });
-        branch_offset + 2
+        check.end()
     }
 
     fn emit_switch(

@@ -155,17 +155,12 @@ mod tests {
     fn check_sequence_matches_figure_four() {
         let m = build("int f(int x) { return x; }");
         let b = &m.aux.indirect_branches[0];
-        // Decode from the check offset: BaryLoad; TaryLoad; Cmp; Jcc; JmpReg.
-        let insts = decode_all(&m.code).unwrap();
-        let idx = insts.iter().position(|(o, _)| *o == b.check_offset).unwrap();
-        assert!(matches!(insts[idx].1, Inst::BaryLoad { dst: Reg::Rdi, slot: 0 }));
-        assert!(matches!(insts[idx + 1].1, Inst::TaryLoad { dst: Reg::Rsi, addr: Reg::Rcx }));
-        assert!(matches!(insts[idx + 2].1, Inst::Cmp { a: Reg::Rdi, b: Reg::Rsi }));
-        assert!(matches!(insts[idx + 3].1, Inst::Jcc { .. }));
-        // And the slow path contains the validity test and version compare.
-        let tail = &insts[idx..(idx + 12).min(insts.len())];
-        assert!(tail.iter().any(|(_, i)| matches!(i, Inst::TestImm { a: Reg::Rsi, imm: 1 })));
-        assert!(tail.iter().any(|(_, i)| matches!(i, Inst::Cmp16 { a: Reg::Rdi, b: Reg::Rsi })));
+        let fetch = |at| mcfi_machine::decode(&m.code, at).ok();
+        let check = mcfi_machine::check::recognize(fetch, b.check_offset).unwrap();
+        assert_eq!((check.bary, check.tary, check.target), (Reg::Rdi, Reg::Rsi, Reg::Rcx));
+        assert_eq!((check.slot, check.branch), (0, b.branch_offset));
+        let slow = check.slow_path(fetch).unwrap();
+        assert_eq!((check.miss, slow.invalid, slow.retry), (slow.test, slow.hlt, check.start));
     }
 
     #[test]

@@ -21,7 +21,8 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 
-use mcfi_machine::{encode_into, Cond, Inst, Reg};
+use mcfi_machine::check::{self, Transfer};
+use mcfi_machine::{encode_into, Inst, Reg};
 use mcfi_module::{
     AuxInfo, BranchKind, CalleeKind, FunctionSym, GlobalSym, Import, IndirectBranchInfo,
     Module, Reloc, RelocKind,
@@ -193,19 +194,16 @@ pub fn static_link(
                 .checked_add(slot_base)
                 .ok_or_else(|| malformed(format!("Bary slot {} overflows", b.local_slot)))?;
             let check_offset = shift(b.check_offset, code_off, "check sequence")?;
-            // Patch the BaryLoad immediate in the merged code image:
-            // encoding is [opcode, reg, slot:u32-le].
-            let imm = check_offset
-                .checked_add(2)
-                .zip(check_offset.checked_add(6))
-                .filter(|&(_, end)| end <= out.code.len())
+            // Patch the BaryLoad immediate in the merged code image.
+            out.code
+                .get_mut(check::slot_bytes(check_offset))
                 .ok_or_else(|| {
                     malformed(format!(
                         "check sequence at {} does not fit the code image",
                         b.check_offset
                     ))
-                })?;
-            out.code[imm.0..imm.1].copy_from_slice(&new_slot.to_le_bytes());
+                })?
+                .copy_from_slice(&new_slot.to_le_bytes());
             out.aux.indirect_branches.push(IndirectBranchInfo {
                 local_slot: new_slot,
                 check_offset,
@@ -318,42 +316,19 @@ pub struct PltStub {
 /// retry, because the GOT entry itself is adjusted by the same update
 /// transaction that bumps the ID versions (§5.2).
 pub fn build_plt_stub(symbol: &str, got_slot_addr: u64) -> PltStub {
-    fn emit_to(code: &mut Vec<u8>, inst: Inst) -> usize {
-        let at = code.len();
-        encode_into(&inst, code);
-        at
-    }
     let mut code = Vec::new();
-    emit_to(&mut code, Inst::MovImm { dst: Reg::Rbx, imm: got_slot_addr as i64 });
+    encode_into(&Inst::MovImm { dst: Reg::Rbx, imm: got_slot_addr as i64 }, &mut code);
     // Reload point: the transaction retry loops back *here*, not to the
     // BaryLoad, so a GOT update is observed.
-    let reload = emit_to(&mut code, Inst::Load { dst: Reg::Rcx, base: Reg::Rbx, offset: 0 });
-    emit_to(&mut code, Inst::Trunc32 { reg: Reg::Rcx });
-    let check_offset = emit_to(&mut code, Inst::BaryLoad { dst: Reg::Rdi, slot: 0 });
-    emit_to(&mut code, Inst::TaryLoad { dst: Reg::Rsi, addr: Reg::Rcx });
-    emit_to(&mut code, Inst::Cmp { a: Reg::Rdi, b: Reg::Rsi });
-    let jcc_to_check = emit_to(&mut code, Inst::Jcc { cc: Cond::Ne, rel: 0 });
-    let branch_offset = emit_to(&mut code, Inst::JmpReg { reg: Reg::Rcx });
-    let check = code.len();
-    // Patch the forward jump to the slow path.
-    let rel = (check - (jcc_to_check + 6)) as i32;
-    code[jcc_to_check + 2..jcc_to_check + 6].copy_from_slice(&rel.to_le_bytes());
-    emit_to(&mut code, Inst::TestImm { a: Reg::Rsi, imm: 1 });
-    let jcc_to_halt = emit_to(&mut code, Inst::Jcc { cc: Cond::Eq, rel: 0 });
-    emit_to(&mut code, Inst::Cmp16 { a: Reg::Rdi, b: Reg::Rsi });
-    let jcc_to_reload = emit_to(&mut code, Inst::Jcc { cc: Cond::Ne, rel: 0 });
-    let halt = emit_to(&mut code, Inst::Hlt);
-    let rel = (halt as i64 - (jcc_to_halt as i64 + 6)) as i32;
-    code[jcc_to_halt + 2..jcc_to_halt + 6].copy_from_slice(&rel.to_le_bytes());
-    let rel = (reload as i64 - (jcc_to_reload as i64 + 6)) as i32;
-    code[jcc_to_reload + 2..jcc_to_reload + 6].copy_from_slice(&rel.to_le_bytes());
-
+    let reload = code.len();
+    encode_into(&Inst::Load { dst: Reg::Rcx, base: Reg::Rbx, offset: 0 }, &mut code);
+    let check = check::emit(&mut code, 0, Transfer::Jump, Some(reload));
     PltStub {
         code,
         branch: IndirectBranchInfo {
             local_slot: 0,
-            check_offset,
-            branch_offset,
+            check_offset: check.start,
+            branch_offset: check.branch,
             in_function: format!("__plt_{symbol}"),
             kind: BranchKind::PltEntry { symbol: symbol.to_string() },
         },
@@ -512,17 +487,11 @@ mod tests {
             Inst::MovImm { dst: Reg::Rbx, imm } if imm == 0x40_1000
         ));
         // The retry jump targets the GOT reload, not the BaryLoad.
-        let reload_offset = insts[1].0;
-        let retry = insts
-            .iter()
-            .rev()
-            .find_map(|(o, i)| match i {
-                Inst::Jcc { cc: Cond::Ne, rel } => Some((*o, *rel)),
-                _ => None,
-            })
-            .expect("retry jump");
-        let dest = (retry.0 as i64 + 6 + retry.1 as i64) as usize;
-        assert_eq!(dest, reload_offset, "retry must reload from the GOT");
+        let fetch = |at| mcfi_machine::decode(&stub.code, at).ok();
+        let check = check::recognize(fetch, stub.branch.check_offset).unwrap();
+        assert_eq!(check.branch, stub.branch.branch_offset);
+        let slow = check.slow_path(fetch).unwrap();
+        assert_eq!(slow.retry, insts[1].0, "retry must reload from the GOT");
         assert!(matches!(stub.branch.kind, BranchKind::PltEntry { ref symbol } if symbol == "qsort"));
     }
 

@@ -8,19 +8,9 @@
 //! overhead of instrumentation (Figs. 5/6).
 //!
 //! The instruction set contains direct analogues of everything the MCFI
-//! check sequence needs (paper Fig. 4):
-//!
-//! | paper (x86-64)              | SimX64                      |
-//! |-----------------------------|-----------------------------|
-//! | `popq %rcx`                 | `Pop rcx`                   |
-//! | `movl %ecx, %ecx`           | `Trunc32 rcx`               |
-//! | `movl %gs:IDX, %edi`        | `BaryLoad rdi, IDX`         |
-//! | `movl %gs:(%rcx), %esi`     | `TaryLoad rsi, rcx`         |
-//! | `cmpl %edi, %esi`           | `Cmp rdi, rsi`              |
-//! | `testb $1, %sil`            | `TestImm rsi, 1`            |
-//! | `cmpw %di, %si`             | `Cmp16 rdi, rsi`            |
-//! | `jmpq *%rcx`                | `JmpReg rcx`                |
-//! | `hlt`                       | `Hlt`                       |
+//! check sequence needs; [`check`] holds the paper's Fig. 4 table and
+//! the one definition of the sequence that every emitter and reader
+//! shares.
 //!
 //! Memory-write sandboxing (§5.1) masks the effective address to the low
 //! 4 GiB with `AndImm reg, 0xffff_ffff` immediately before every store,
@@ -29,6 +19,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod check;
 mod cost;
 mod encode;
 mod inst;

@@ -12,6 +12,7 @@
 
 use std::fmt;
 
+use mcfi_machine::check;
 use mcfi_minic::types::{Type, TypeEnv};
 
 use crate::wire::{self, DecodeLimits, WireError, WireErrorKind};
@@ -188,9 +189,10 @@ impl Module {
                     format!("indirect branch #{i} carries local slot {}", b.local_slot),
                 ));
             }
-            // The loader patches the 4-byte slot immediate at
-            // check_offset + 2, so the whole BaryLoad must be in bounds.
-            check_span(b.check_offset, 6, code, "code", &format!("check sequence #{i}"))?;
+            // The loader patches the slot immediate, so it must be in
+            // bounds.
+            let imm = check::slot_bytes(b.check_offset);
+            check_span(imm.start, imm.len(), code, "code", &format!("check sequence #{i}"))?;
             if b.branch_offset >= code {
                 return Err(malformed(
                     b.branch_offset,

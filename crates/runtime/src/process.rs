@@ -16,7 +16,7 @@ use std::sync::Arc;
 use mcfi_cfggen::{generate, policy_lookups, ControlFlowPolicy, Placed};
 use mcfi_chaos::{Backoff, ChaosInjector, FaultPlan, FaultPoint};
 use serde::Serialize;
-use mcfi_machine::DecodeError;
+use mcfi_machine::{check, DecodeError};
 use mcfi_minic::types::TypeEnv;
 use mcfi_linker::build_plt_stub;
 use mcfi_module::{AdmissionError, DecodeLimits, Module, RelocKind};
@@ -1383,9 +1383,8 @@ impl Process {
         }
         for (bi, branch) in branches.iter().enumerate() {
             let slot = (self.state.total_slots + bi) as u32;
-            let at = code_base + branch.check_offset as u64 + 2;
-            for (k, byte) in slot.to_le_bytes().into_iter().enumerate() {
-                self.mem.write8(at + k as u64, byte).map_err(mem_err)?;
+            for (at, byte) in check::slot_bytes(branch.check_offset).zip(slot.to_le_bytes()) {
+                self.mem.write8(code_base + at as u64, byte).map_err(mem_err)?;
             }
         }
         self.state.total_slots += branches.len();

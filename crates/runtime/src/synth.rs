@@ -6,7 +6,8 @@
 //! modules: instrumented, typed (so type-matching CFG generation sees
 //! them), and loaded into the sandbox like any other code.
 
-use mcfi_machine::{encode_into, Cond, Inst, Reg};
+use mcfi_machine::check::{self, Transfer};
+use mcfi_machine::{encode_into, Inst, Reg};
 use mcfi_minic::types::{FuncType, Type};
 use mcfi_module::{BranchKind, FunctionSym, IndirectBranchInfo, Module};
 
@@ -83,9 +84,17 @@ pub fn syscall_module_with(instrumented: bool) -> Module {
         encode_into(&Inst::MovImm { dst: Reg::Rax, imm: num as i64 }, &mut code);
         encode_into(&Inst::Syscall, &mut code);
         if instrumented {
-            let branch =
-                emit_return_check(&mut code, m.aux.indirect_branches.len() as u32, name);
-            m.aux.indirect_branches.push(branch);
+            // The instrumented return: pop the target, then Fig. 4.
+            encode_into(&Inst::Pop { reg: Reg::Rcx }, &mut code);
+            let slot = m.aux.indirect_branches.len() as u32;
+            let check = check::emit(&mut code, slot, Transfer::Jump, None);
+            m.aux.indirect_branches.push(IndirectBranchInfo {
+                local_slot: slot,
+                check_offset: check.start,
+                branch_offset: check.branch,
+                in_function: name.to_string(),
+                kind: BranchKind::Return { function: name.to_string() },
+            });
         } else {
             encode_into(&Inst::Ret, &mut code);
         }
@@ -102,47 +111,6 @@ pub fn syscall_module_with(instrumented: bool) -> Module {
     }
     m.code = code;
     m
-}
-
-/// Emits the Fig. 4 return-check sequence (target popped into `%rcx`),
-/// returning its branch record with offsets relative to the code buffer.
-pub fn emit_return_check(code: &mut Vec<u8>, slot: u32, func: &str) -> IndirectBranchInfo {
-    encode_into(&Inst::Pop { reg: Reg::Rcx }, code);
-    encode_into(&Inst::Trunc32 { reg: Reg::Rcx }, code);
-    let try_ = code.len();
-    let check_offset = code.len();
-    encode_into(&Inst::BaryLoad { dst: Reg::Rdi, slot }, code);
-    encode_into(&Inst::TaryLoad { dst: Reg::Rsi, addr: Reg::Rcx }, code);
-    encode_into(&Inst::Cmp { a: Reg::Rdi, b: Reg::Rsi }, code);
-    let jcc_check = code.len();
-    encode_into(&Inst::Jcc { cc: Cond::Ne, rel: 0 }, code);
-    let branch_offset = code.len();
-    encode_into(&Inst::JmpReg { reg: Reg::Rcx }, code);
-    let check = code.len();
-    patch_rel(code, jcc_check, check);
-    encode_into(&Inst::TestImm { a: Reg::Rsi, imm: 1 }, code);
-    let jcc_halt = code.len();
-    encode_into(&Inst::Jcc { cc: Cond::Eq, rel: 0 }, code);
-    encode_into(&Inst::Cmp16 { a: Reg::Rdi, b: Reg::Rsi }, code);
-    let jcc_retry = code.len();
-    encode_into(&Inst::Jcc { cc: Cond::Ne, rel: 0 }, code);
-    let halt = code.len();
-    encode_into(&Inst::Hlt, code);
-    patch_rel(code, jcc_halt, halt);
-    patch_rel(code, jcc_retry, try_);
-    IndirectBranchInfo {
-        local_slot: slot,
-        check_offset,
-        branch_offset,
-        in_function: func.to_string(),
-        kind: BranchKind::Return { function: func.to_string() },
-    }
-}
-
-/// Patches a 6-byte `Jcc` at `at` to target absolute buffer offset `to`.
-fn patch_rel(code: &mut [u8], at: usize, to: usize) {
-    let rel = (to as i64 - (at as i64 + 6)) as i32;
-    code[at + 2..at + 6].copy_from_slice(&rel.to_le_bytes());
 }
 
 #[cfg(test)]

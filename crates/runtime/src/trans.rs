@@ -16,8 +16,9 @@
 //!   translation continues at the statically known continuation, and at
 //!   run time a divergence check (did the executed branch follow the
 //!   chained edge?) ends the block early with `vm.pc` already correct.
-//! - **The Fig. 4 check transaction** is recognized as a unit
-//!   (`BaryLoad; TaryLoad; Cmp; Jcc Ne; [Nops]; CallReg|JmpReg`) and
+//! - **The Fig. 4 check transaction** is recognized as a unit (its fast
+//!   path, `BaryLoad` through `CallReg|JmpReg`, read by
+//!   [`mcfi_machine::check::recognize`]) and
 //!   specialized per indirect-branch site into a `TxCheckOp`: the
 //!   Bary slot, the success-path branch address, and the expected Bary
 //!   word are baked in. The fast path performs one atomic Bary read and
@@ -76,6 +77,7 @@
 
 use std::cell::Cell;
 
+use mcfi_machine::check::{self, Check, Transfer};
 use mcfi_machine::{Cond, Inst};
 use mcfi_tables::IdTables;
 
@@ -90,23 +92,9 @@ const MAX_BLOCK_OPS: usize = 256;
 /// site: slot id, expected Bary word, and success-path branch target
 /// baked in at translation time.
 struct TxCheckOp {
-    /// Global Bary slot of the branch (the patched `BaryLoad` immediate).
-    slot: u32,
-    /// Register file index the `BaryLoad` writes (`%rdi` by convention).
-    bary_dst: usize,
-    /// Register file index the `TaryLoad` writes (`%rsi` by convention).
-    tary_dst: usize,
-    /// Register file index holding the branch target (`%rcx`).
-    target: usize,
-    /// `CallReg` (pushes a return address) vs `JmpReg`.
-    is_call: bool,
-    /// pc of the `BaryLoad` — where a miss resumes interpretation.
-    check_pc: u64,
-    /// pc of the success-path `CallReg`/`JmpReg`.
-    branch_pc: u64,
-    /// Byte length of the branch instruction (return address =
-    /// `branch_pc + branch_len`).
-    branch_len: u64,
+    /// The recognized fast path: slot, registers, the `BaryLoad`'s pc
+    /// (where a miss resumes interpretation) and the branch's.
+    check: Check,
     /// Steps the fast path replays (5 + alignment Nops).
     fast_steps: u64,
     /// Cycles the fast path replays (sum of the sequence's costs).
@@ -298,78 +286,34 @@ pub(crate) fn translate(
     })
 }
 
-/// Walks a candidate check sequence instruction by instruction, summing
-/// the charges a fast-path hit replays.
-struct Walk<'a> {
-    seg: &'a mut Segment,
-    mem: &'a Sandbox,
-    at: u64,
-    steps: u64,
-    cycles: u64,
-}
-
-impl Walk<'_> {
-    /// The next instruction inside the segment with its pc and length.
-    fn next(&mut self) -> Option<(Inst, u64, u64)> {
-        let (inst, len, cost) = self.seg.inst_within(self.mem, self.at)?;
-        let pc = self.at;
-        self.at += len;
-        self.steps += 1;
-        self.cycles += cost;
-        Some((inst, pc, len))
-    }
-}
-
-/// Recognizes the Fig. 4 fast-path sequence starting at a `BaryLoad`:
-///
-/// ```text
-/// BaryLoad d1, slot ; TaryLoad d2, t ; Cmp d1, d2 ; Jcc Ne, slow ;
-/// [Nop ×0..4 (call alignment)] ; CallReg t | JmpReg t
-/// ```
-///
-/// with `d1`, `d2`, `t` pairwise distinct (so the replayed register
-/// writes commute with the target read). Returns `None` — the sequence
-/// translates as plain ops — on any mismatch.
+/// Specializes the Fig. 4 sequence whose `BaryLoad` is at `check_pc`,
+/// read through [`check::recognize`] under the tier's own rule: any
+/// pairwise-distinct registers (so the replayed register writes commute
+/// with the target read), and no slow-path requirement, since a miss
+/// runs the interpreter's. Returns `None` — the sequence translates as
+/// plain ops — on any mismatch.
 fn match_check(
     seg: &mut Segment,
     mem: &Sandbox,
     tables: &IdTables,
     check_pc: u64,
 ) -> Option<TxCheckOp> {
-    let mut walk = Walk { seg, mem, at: check_pc, steps: 0, cycles: 0 };
-    let (Inst::BaryLoad { dst: bary_dst, slot }, ..) = walk.next()? else { return None };
-    let (Inst::TaryLoad { dst: tary_dst, addr: target }, ..) = walk.next()? else { return None };
-    if tary_dst == bary_dst || target == bary_dst || target == tary_dst {
-        return None;
-    }
-    let (Inst::Cmp { a, b }, ..) = walk.next()? else { return None };
-    if a != bary_dst || b != tary_dst {
-        return None;
-    }
-    let (Inst::Jcc { cc: Cond::Ne, .. }, ..) = walk.next()? else { return None };
-    // Up to TARGET_ALIGN - 1 alignment Nops pad a call so its *end*
-    // lands on an aligned (legal return-target) address.
-    let mut nops = 0;
-    let (is_call, branch_pc, branch_len) = loop {
-        match walk.next()? {
-            (Inst::Nop, ..) if nops < 3 => nops += 1,
-            (Inst::CallReg { reg }, pc, len) if reg == target => break (true, pc, len),
-            (Inst::JmpReg { reg }, pc, len) if reg == target => break (false, pc, len),
-            _ => return None,
-        }
+    // Recognition fetches each fast-path instruction once, so a hit
+    // replays exactly the charges fetched here.
+    let (mut fast_steps, mut fast_cycles) = (0, 0);
+    let fetch = |at: usize| {
+        let (inst, len, cost) = seg.inst_within(mem, at as u64)?;
+        fast_steps += 1;
+        fast_cycles += cost;
+        Some((inst, len as usize))
     };
-    Some(TxCheckOp {
-        slot,
-        bary_dst: bary_dst.nibble() as usize,
-        tary_dst: tary_dst.nibble() as usize,
-        target: target.nibble() as usize,
-        is_call,
-        check_pc,
-        branch_pc,
-        branch_len,
-        fast_steps: walk.steps,
-        fast_cycles: walk.cycles,
-        expected: Cell::new(tables.bary_word(slot as usize)),
+    let chk = check::recognize(fetch, check_pc as usize).ok()?;
+    let distinct = chk.bary != chk.tary && chk.bary != chk.target && chk.tary != chk.target;
+    distinct.then(|| TxCheckOp {
+        check: chk,
+        fast_steps,
+        fast_cycles,
+        expected: Cell::new(tables.bary_word(chk.slot as usize)),
     })
 }
 
@@ -466,11 +410,12 @@ fn run_check(
     mem: &mut Sandbox,
     tables: &IdTables,
 ) -> Result<Option<Event>, VmError> {
-    let bary = tables.bary_word(chk.slot as usize);
-    let target = vm.regs[chk.target];
+    let c = &chk.check;
+    let bary = tables.bary_word(c.slot as usize);
+    let target = vm.regs[c.target.index()];
     let tary = tables.tary_word(target);
     if bary != tary {
-        vm.pc = chk.check_pc;
+        vm.pc = c.start as u64;
         return Ok(None);
     }
     // Heal the baked expectation after version re-stamps.
@@ -483,18 +428,18 @@ fn run_check(
     vm.stats.steps += chk.fast_steps;
     vm.stats.cycles += chk.fast_cycles;
     vm.stats.checks += 1;
-    vm.regs[chk.bary_dst] = u64::from(bary);
-    vm.regs[chk.tary_dst] = u64::from(tary);
+    vm.regs[c.bary.index()] = u64::from(bary);
+    vm.regs[c.tary.index()] = u64::from(tary);
     vm.flags = 0;
-    vm.last_bary = Some(chk.slot as usize);
-    vm.last_check = Some((chk.slot as usize, target));
-    vm.pc = chk.branch_pc;
-    if chk.is_call {
+    vm.last_bary = Some(c.slot as usize);
+    vm.last_check = Some((c.slot as usize, target));
+    vm.pc = c.branch as u64;
+    if c.transfer == Transfer::Call {
         // A push fault leaves the machine exactly as the interpreter's
         // would at the `CallReg`: everything before it executed (all
         // charges applied first, matching `execute`'s charge order),
         // pc at the branch, last_check still armed.
-        vm.push(mem, chk.branch_pc + chk.branch_len)?;
+        vm.push(mem, c.end() as u64)?;
     }
     vm.stats.indirect_taken += 1;
     vm.last_check = None;

@@ -19,8 +19,9 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use mcfi_machine::{decode, Cond, Inst, Reg, SANDBOX_MASK, TARGET_ALIGN};
-use mcfi_module::Module;
+use mcfi_machine::check::{self, Check};
+use mcfi_machine::{decode, Inst, Reg, SANDBOX_MASK, TARGET_ALIGN};
+use mcfi_module::{IndirectBranchInfo, Module};
 
 /// A single verification failure.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -42,8 +43,8 @@ pub enum Violation {
         /// Offset.
         offset: usize,
     },
-    /// A recorded check sequence does not match the required instruction
-    /// pattern (paper Fig. 4).
+    /// A recorded check sequence is not laid out as the emitter lays it
+    /// out (paper Fig. 4, [`mcfi_machine::check`]).
     MalformedCheck {
         /// Offset of the `BaryLoad`.
         offset: usize,
@@ -135,9 +136,8 @@ impl Report {
 /// 1. the entire code image (minus jump-table data) disassembles;
 /// 2. no raw `Ret` instructions remain;
 /// 3. every `CallReg`/`JmpReg` is the branch of a recorded check sequence
-///    whose instructions match the Fig. 4 pattern (`BaryLoad %rdi`;
-///    `TaryLoad %rsi, (%rcx)`; `Cmp %rdi, %rsi`; `Jcc ne`; branch via
-///    `%rcx`; with the `TestImm`/`Cmp16` slow path present);
+///    laid out exactly as [`mcfi_machine::check::emit`] writes it, with
+///    `%rdi`/`%rsi`/`%rcx`, read along the linear disassembly;
 /// 4. every `Store`/`Store8` either goes through the frame/stack
 ///    registers or its base register is masked by
 ///    `AndImm reg, SANDBOX_MASK` that dominates the store in the same
@@ -166,7 +166,7 @@ pub fn verify(module: &Module) -> Report {
         module.aux.indirect_branches.iter().map(|b| b.branch_offset).collect();
 
     // Pass 1: linear disassembly with local pattern checks.
-    let mut insts: Vec<(usize, Inst)> = Vec::new();
+    let mut insts: Vec<(usize, Inst, usize)> = Vec::new();
     let mut off = 0;
     while off < module.code.len() {
         if in_table(off) {
@@ -175,7 +175,7 @@ pub fn verify(module: &Module) -> Report {
         }
         match decode(&module.code, off) {
             Ok((inst, len)) => {
-                insts.push((off, inst));
+                insts.push((off, inst, len));
                 off += len;
             }
             Err(e) => {
@@ -188,7 +188,7 @@ pub fn verify(module: &Module) -> Report {
     }
     report.instructions = insts.len();
 
-    for (i, (off, inst)) in insts.iter().enumerate() {
+    for (i, (off, inst, _)) in insts.iter().enumerate() {
         match inst {
             Inst::Ret => report.violations.push(Violation::RawReturn { offset: *off }),
             Inst::CallReg { .. } | Inst::JmpReg { .. }
@@ -208,19 +208,15 @@ pub fn verify(module: &Module) -> Report {
         }
     }
 
-    // Pass 2: each recorded check sequence matches the Fig. 4 pattern.
-    let index_of: std::collections::HashMap<usize, usize> =
-        insts.iter().enumerate().map(|(i, (o, _))| (*o, i)).collect();
+    // Pass 2: each recorded check sequence is the emitter's, read
+    // along the linear disassembly.
+    let fetch = |at: usize| {
+        let i = insts.binary_search_by_key(&at, |&(off, ..)| off).ok()?;
+        Some((insts[i].1, insts[i].2))
+    };
     for b in &module.aux.indirect_branches {
         report.checks += 1;
-        let Some(&start) = index_of.get(&b.check_offset) else {
-            report.violations.push(Violation::MalformedCheck {
-                offset: b.check_offset,
-                message: "check offset is not an instruction boundary".into(),
-            });
-            continue;
-        };
-        if let Err(message) = check_sequence(&insts, start, b.branch_offset) {
+        if let Err(message) = check_sequence(fetch, b) {
             report
                 .violations
                 .push(Violation::MalformedCheck { offset: b.check_offset, message });
@@ -283,7 +279,7 @@ pub fn verify(module: &Module) -> Report {
 /// other stores (which write memory, not registers) may sit between the
 /// `AndImm` and this store — the pattern of multi-word writes such as
 /// the setjmp buffer save.
-fn store_is_masked(insts: &[(usize, Inst)], i: usize, base: Reg) -> bool {
+fn store_is_masked(insts: &[(usize, Inst, usize)], i: usize, base: Reg) -> bool {
     let mut j = i;
     while j > 0 {
         j -= 1;
@@ -346,81 +342,28 @@ fn writes_reg(inst: &Inst, r: Reg) -> bool {
     }
 }
 
-/// Validates one check sequence starting at instruction index `start`
-/// (the `BaryLoad`), whose transfer is recorded at `branch_offset`.
+/// Holds the check sequence that branch record `b` points at to the
+/// emitter's layout: the registers it writes, the branch offset the
+/// record names, and the slow path after it.
 fn check_sequence(
-    insts: &[(usize, Inst)],
-    start: usize,
-    branch_offset: usize,
-) -> Result<(), String> {
-    let get = |i: usize| -> Result<&Inst, String> {
-        insts.get(i).map(|(_, inst)| inst).ok_or_else(|| "sequence truncated".to_string())
-    };
-    // BaryLoad %rdi, <slot>
-    match get(start)? {
-        Inst::BaryLoad { dst: Reg::Rdi, .. } => {}
-        other => return Err(format!("expected BaryLoad %rdi, found {other}")),
+    fetch: impl Fn(usize) -> Option<(Inst, usize)> + Copy,
+    b: &IndirectBranchInfo,
+) -> Result<Check, String> {
+    let chk = check::recognize(fetch, b.check_offset)?;
+    if (chk.bary, chk.tary, chk.target) != (Reg::Rdi, Reg::Rsi, Reg::Rcx) {
+        return Err(format!(
+            "check uses {}/{}/{}, not %rdi/%rsi/%rcx",
+            chk.bary, chk.tary, chk.target
+        ));
     }
-    // TaryLoad %rsi, (%rcx)
-    match get(start + 1)? {
-        Inst::TaryLoad { dst: Reg::Rsi, addr: Reg::Rcx } => {}
-        other => return Err(format!("expected TaryLoad %rsi,(%rcx), found {other}")),
+    if chk.branch != b.branch_offset {
+        return Err(format!(
+            "branch at {:#x} does not match recorded offset {:#x}",
+            chk.branch, b.branch_offset
+        ));
     }
-    // Cmp %rdi, %rsi
-    match get(start + 2)? {
-        Inst::Cmp { a: Reg::Rdi, b: Reg::Rsi } => {}
-        other => return Err(format!("expected Cmp %rdi,%rsi, found {other}")),
-    }
-    // Jcc ne <slow path>
-    match get(start + 3)? {
-        Inst::Jcc { cc: Cond::Ne, .. } => {}
-        other => return Err(format!("expected jne, found {other}")),
-    }
-    // The transfer: CallReg/JmpReg via %rcx at the recorded offset,
-    // possibly preceded by alignment Nops.
-    let mut i = start + 4;
-    loop {
-        let (off, inst) = insts
-            .get(i)
-            .ok_or_else(|| "sequence truncated before branch".to_string())?;
-        match inst {
-            Inst::Nop => {
-                i += 1;
-                continue;
-            }
-            Inst::CallReg { reg: Reg::Rcx } | Inst::JmpReg { reg: Reg::Rcx } => {
-                if *off != branch_offset {
-                    return Err(format!(
-                        "branch at {off:#x} does not match recorded offset {branch_offset:#x}"
-                    ));
-                }
-                break;
-            }
-            other => return Err(format!("expected checked branch via %rcx, found {other}")),
-        }
-    }
-    // Slow path must contain the validity test and the version compare
-    // within a small window after the branch.
-    let window: Vec<&Inst> = (i + 1..(i + 8).min(insts.len()))
-        .filter_map(|j| insts.get(j).map(|(_, inst)| inst))
-        .collect();
-    let has_validity = window
-        .iter()
-        .any(|inst| matches!(inst, Inst::TestImm { a: Reg::Rsi, imm: 1 }));
-    let has_version = window
-        .iter()
-        .any(|inst| matches!(inst, Inst::Cmp16 { a: Reg::Rdi, b: Reg::Rsi }));
-    let has_halt = window.iter().any(|inst| matches!(inst, Inst::Hlt));
-    if !has_validity {
-        return Err("slow path lacks the validity test (testb $1, %sil)".into());
-    }
-    if !has_version {
-        return Err("slow path lacks the version compare (cmpw %di, %si)".into());
-    }
-    if !has_halt {
-        return Err("slow path lacks the hlt".into());
-    }
-    Ok(())
+    chk.slow_path(fetch)?;
+    Ok(chk)
 }
 
 #[cfg(test)]
