@@ -653,6 +653,25 @@ fn mem_err(e: MemFault) -> LoadError {
     LoadError::Mem(e.to_string())
 }
 
+/// Runs the machine-code verifier over the module an untrusted load was
+/// handed — not over whatever the load placed last, which is a PLT stub
+/// when the module imports a symbol no loaded module defines. The image
+/// is pristine: relocations patch the sandbox copy, not the `Module`.
+fn verify_untrusted(module: &Module) -> Result<(), LoadError> {
+    let report = mcfi_verifier::verify(module);
+    if report.ok() {
+        return Ok(());
+    }
+    let reason = report
+        .violations
+        .iter()
+        .take(4)
+        .map(std::string::ToString::to_string)
+        .collect::<Vec<_>>()
+        .join("; ");
+    Err(LoadError::Admission(AdmissionError::VerifierReject { reason }))
+}
+
 /// Rejects inconsistent [`Layout`]s before any of their arithmetic runs:
 /// every subtraction below is used unchecked by the constructor and the
 /// loader, and the GOT reservation (`data_base .. data_base + 0x1000`)
@@ -1252,29 +1271,11 @@ impl Process {
     /// [`AdmissionError::VerifierReject`] and count into
     /// [`Process::admission_rejects`].
     pub fn load_untrusted(&mut self, module: Module) -> Result<(), LoadError> {
+        let module = Arc::new(module);
         self.load_tx(|p| {
-            p.load_no_update(Arc::new(module))?;
-            p.verify_last_module()
+            p.load_no_update(Arc::clone(&module))?;
+            verify_untrusted(&module)
         })
-    }
-
-    /// Runs the machine-code verifier over the most recently prepared
-    /// module (still pristine in the module list — relocations are
-    /// applied to the sandbox copy, not the stored image).
-    fn verify_last_module(&mut self) -> Result<(), LoadError> {
-        let Some(lm) = self.state.modules.last() else { return Ok(()) };
-        let report = mcfi_verifier::verify(&lm.module);
-        if report.ok() {
-            return Ok(());
-        }
-        let reason = report
-            .violations
-            .iter()
-            .take(4)
-            .map(std::string::ToString::to_string)
-            .collect::<Vec<_>>()
-            .join("; ");
-        Err(LoadError::Admission(AdmissionError::VerifierReject { reason }))
     }
 
     /// The load transaction behind [`Process::load_all`] and

@@ -136,6 +136,33 @@ fn uninstrumented_module_is_rejected_by_the_in_transaction_verifier() {
     assert!(p.symbol("raw_fn").is_none(), "the module is fully unloaded");
 }
 
+/// An import that no loaded module defines makes the load place a PLT
+/// stub after the plugin. The verifier must still check the plugin it
+/// was handed: an uninstrumented plugin with such an import is refused,
+/// and the rollback removes both the plugin and its stub.
+#[test]
+fn a_fresh_import_does_not_hide_a_plugin_from_the_verifier() {
+    let nocfi = CodegenOptions { policy: Policy::NoCfi, tail_calls: true };
+    let src = "int never_defined_anywhere(int x);\n\
+               int evil(int* p, int (*f)(int)) { *p = 1; int r = f(2); return r; }\n\
+               int bounce(int x) { int r = never_defined_anywhere(x); return r; }";
+    let module = mcfi_codegen::compile_source("evil_import", src, &nocfi).expect("compiles");
+    let image = module.to_bytes().expect("serializes");
+
+    let mut sys = System::boot_source("int main(void) { return 0; }", &opts()).expect("boots");
+    let p = sys.process();
+    let loaded_before = p.loaded();
+    let err = p.load_image(image).expect_err("an uninstrumented plugin must not verify");
+    assert!(
+        matches!(err, LoadError::Admission(AdmissionError::VerifierReject { .. })),
+        "{err}"
+    );
+    assert_eq!(p.admission_rejects(), 1);
+    assert_eq!(p.load_rollbacks(), 1);
+    assert_eq!(p.loaded(), loaded_before, "neither the plugin nor its PLT stub stays loaded");
+    assert!(p.symbol("bounce").is_none());
+}
+
 /// Every truncation of a real image is rejected without a panic — the
 /// decoder validates each length prefix against the remaining input, so
 /// there is no cut point that allocates or loops before failing.
