@@ -51,6 +51,19 @@ pub enum Violation {
         /// What was wrong.
         message: String,
     },
+    /// A recorded check sequence's own branch goes where Fig. 4 does not
+    /// send it: the `jne` after the compare to anything but the slow
+    /// path's test, the `jz` to anything but the `hlt`, the version
+    /// `jne` to anything but the `BaryLoad`, or a call's `jmp` to
+    /// anything but the offset just past the `hlt`.
+    MisdirectedCheck {
+        /// Offset of the `BaryLoad`.
+        offset: usize,
+        /// Which branch.
+        what: &'static str,
+        /// Where it goes.
+        target: usize,
+    },
     /// A store's address register is not masked into the sandbox
     /// immediately before the write (and is not frame-relative).
     UnsandboxedWrite {
@@ -93,6 +106,9 @@ impl fmt::Display for Violation {
             }
             Violation::MalformedCheck { offset, message } => {
                 write!(f, "malformed check at {offset:#x}: {message}")
+            }
+            Violation::MisdirectedCheck { offset, what, target } => {
+                write!(f, "check at {offset:#x} sends its {what} to {target:#x}")
             }
             Violation::UnsandboxedWrite { offset } => {
                 write!(f, "unsandboxed memory write at {offset:#x}")
@@ -137,7 +153,8 @@ impl Report {
 /// 2. no raw `Ret` instructions remain;
 /// 3. every `CallReg`/`JmpReg` is the branch of a recorded check sequence
 ///    laid out exactly as [`mcfi_machine::check::emit`] writes it, with
-///    `%rdi`/`%rsi`/`%rcx`, read along the linear disassembly;
+///    `%rdi`/`%rsi`/`%rcx`, read along the linear disassembly, and whose
+///    own branches go where Fig. 4 sends them;
 /// 4. every `Store`/`Store8` either goes through the frame/stack
 ///    registers or its base register is masked by
 ///    `AndImm reg, SANDBOX_MASK` that dominates the store in the same
@@ -216,10 +233,8 @@ pub fn verify(module: &Module) -> Report {
     };
     for b in &module.aux.indirect_branches {
         report.checks += 1;
-        if let Err(message) = check_sequence(fetch, b) {
-            report
-                .violations
-                .push(Violation::MalformedCheck { offset: b.check_offset, message });
+        if let Err(v) = check_sequence(fetch, b) {
+            report.violations.push(v);
         }
     }
 
@@ -343,37 +358,78 @@ fn writes_reg(inst: &Inst, r: Reg) -> bool {
 }
 
 /// Holds the check sequence that branch record `b` points at to the
-/// emitter's layout: the registers it writes, the branch offset the
-/// record names, and the slow path after it.
+/// emitter's layout — the registers it writes, the branch offset the
+/// record names, the slow path after it — and its own branches to the
+/// targets Fig. 4 gives them.
 fn check_sequence(
     fetch: impl Fn(usize) -> Option<(Inst, usize)> + Copy,
     b: &IndirectBranchInfo,
-) -> Result<Check, String> {
-    let chk = check::recognize(fetch, b.check_offset)?;
+) -> Result<Check, Violation> {
+    let malformed = |message| Violation::MalformedCheck { offset: b.check_offset, message };
+    let chk = check::recognize(fetch, b.check_offset).map_err(malformed)?;
     if (chk.bary, chk.tary, chk.target) != (Reg::Rdi, Reg::Rsi, Reg::Rcx) {
-        return Err(format!(
-            "check uses {}/{}/{}, not %rdi/%rsi/%rcx",
-            chk.bary, chk.tary, chk.target
-        ));
+        let regs = format!("{}/{}/{}", chk.bary, chk.tary, chk.target);
+        return Err(malformed(format!("check uses {regs}, not %rdi/%rsi/%rcx")));
     }
     if chk.branch != b.branch_offset {
-        return Err(format!(
+        return Err(malformed(format!(
             "branch at {:#x} does not match recorded offset {:#x}",
             chk.branch, b.branch_offset
-        ));
+        )));
     }
-    chk.slow_path(fetch)?;
-    Ok(chk)
+    let slow = chk.slow_path(fetch).map_err(malformed)?;
+    let aims = [
+        ("jne to the slow path", chk.miss, slow.test),
+        ("jz to the hlt", slow.invalid, slow.hlt),
+        ("version jne to the BaryLoad", slow.retry, chk.start),
+        ("jmp past the slow path", slow.skip.unwrap_or(slow.end), slow.end),
+    ];
+    match aims.into_iter().find(|&(_, to, want)| to != want) {
+        Some((what, target, _)) => {
+            Err(Violation::MisdirectedCheck { offset: b.check_offset, what, target })
+        }
+        None => Ok(chk),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use mcfi_codegen::{compile_source, CodegenOptions, Policy};
-    use mcfi_machine::{encode, encode_into};
+    use mcfi_machine::{encode, encode_into, Cond};
+    use mcfi_module::BranchKind;
 
     fn build(src: &str) -> Module {
         compile_source("t", src, &CodegenOptions::default()).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Aims the direct branch at `at` at `to`.
+    fn retarget(m: &mut Module, at: usize, to: usize) {
+        let (inst, len) = decode(&m.code, at).unwrap();
+        let rel = (to as i64 - (at + len) as i64) as i32;
+        let inst = match inst {
+            Inst::Jmp { .. } => Inst::Jmp { rel },
+            Inst::Jcc { cc, .. } => Inst::Jcc { cc, rel },
+            other => panic!("{other} is not a direct branch"),
+        };
+        m.code[at..at + len].copy_from_slice(&encode(&[inst]));
+    }
+
+    /// Whether a fresh process refuses `m`'s serialized image at the
+    /// in-transaction verifier.
+    fn refused_on_admission(m: &Module) -> bool {
+        let mut p = mcfi_runtime::Process::new(Default::default()).unwrap();
+        let err = p.load_image(m.to_bytes().unwrap());
+        matches!(
+            err,
+            Err(mcfi_runtime::LoadError::Admission(
+                mcfi_module::AdmissionError::VerifierReject { .. }
+            ))
+        )
+    }
+
+    fn has(r: &Report, want: fn(&Violation) -> bool) -> bool {
+        r.violations.iter().any(want)
     }
 
     const DEMO: &str = "int id(int x) { return x; }\n\
@@ -464,6 +520,34 @@ mod tests {
             .violations
             .iter()
             .any(|v| matches!(v, Violation::MalformedCheck { .. })));
+    }
+
+    /// The quickstart's type-confused call with both of its check's
+    /// `jne`s aimed at its own branch: every instruction is where the
+    /// layout wants it, but the check can no longer fail.
+    #[test]
+    fn misdirected_check_branches_are_caught() {
+        let mut m = build(
+            "float nearly(float x) { return x + 0.5; }\n\
+             int main(void) { void* laundered = (void*)&nearly; \
+             int (*f)(int) = (int(*)(int))laundered; return f(1); }",
+        );
+        assert!(verify(&m).ok());
+        let call = |b: &&IndirectBranchInfo| !matches!(b.kind, BranchKind::Return { .. });
+        let b = m.aux.indirect_branches.iter().find(call).unwrap().clone();
+        let insts = mcfi_machine::decode_all(&m.code).unwrap();
+        let jnes: Vec<usize> = insts
+            .iter()
+            .filter(|(o, i)| *o > b.check_offset && matches!(i, Inst::Jcc { cc: Cond::Ne, .. }))
+            .map(|(o, _)| *o)
+            .take(2)
+            .collect();
+        for at in jnes {
+            retarget(&mut m, at, b.branch_offset);
+        }
+        let r = verify(&m);
+        assert!(has(&r, |v| matches!(v, Violation::MisdirectedCheck { .. })), "{:?}", r.violations);
+        assert!(refused_on_admission(&m));
     }
 
     #[test]
