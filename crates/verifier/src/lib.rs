@@ -21,7 +21,7 @@ use std::fmt;
 
 use mcfi_machine::check::{self, Check};
 use mcfi_machine::{decode, Inst, Reg, SANDBOX_MASK, TARGET_ALIGN};
-use mcfi_module::{IndirectBranchInfo, Module};
+use mcfi_module::{CalleeKind, IndirectBranchInfo, Module, RelocKind, ReturnSiteInfo};
 
 /// A single verification failure.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -63,6 +63,20 @@ pub enum Violation {
         what: &'static str,
         /// Where it goes.
         target: usize,
+    },
+    /// A direct branch or a declared target (function entry, return
+    /// site, setjmp landing, jump-table entry) lands where no transfer
+    /// may: off the linear disassembly's instruction boundaries (inside
+    /// an instruction, in jump-table data or outside the code), or
+    /// strictly inside a guarded sequence — a check after its
+    /// `BaryLoad`, or a masked store after its `AndImm`.
+    StrayTarget {
+        /// Where it lands.
+        target: usize,
+        /// What lands there.
+        what: &'static str,
+        /// The branch's offset, for a direct branch.
+        from: Option<usize>,
     },
     /// A store's address register is not masked into the sandbox
     /// immediately before the write (and is not frame-relative).
@@ -109,6 +123,13 @@ impl fmt::Display for Violation {
             }
             Violation::MisdirectedCheck { offset, what, target } => {
                 write!(f, "check at {offset:#x} sends its {what} to {target:#x}")
+            }
+            Violation::StrayTarget { target, what, from } => {
+                write!(f, "{what}")?;
+                if let Some(from) = from {
+                    write!(f, " at {from:#x}")?;
+                }
+                write!(f, " lands at {target:#x}, where no transfer may land")
             }
             Violation::UnsandboxedWrite { offset } => {
                 write!(f, "unsandboxed memory write at {offset:#x}")
@@ -162,7 +183,16 @@ impl Report {
 ///    (multi-word writes like the setjmp buffer save share one mask);
 /// 5. function entries, return sites, and setjmp landings are 4-byte
 ///    aligned;
-/// 6. jump-table entries stay within their owning function.
+/// 6. jump-table entries stay within their owning function;
+/// 7. every direct `Jmp`/`Jcc`/`Call` target and every declared target
+///    (function entry, return site, setjmp landing, jump-table entry)
+///    is an instruction boundary of the linear disassembly, outside
+///    jump-table data, and not strictly inside a guarded sequence: a
+///    check from its `TaryLoad` through its branch
+///    ([`mcfi_machine::check::Check::guarded`]), or a mask from the
+///    instruction after its `AndImm` through the last store it covers.
+///    A branch whose bytes carry a `CallRel` relocation is exempt: the
+///    loader aims it at a function entry or a PLT stub.
 pub fn verify(module: &Module) -> Report {
     let mut report = Report::default();
 
@@ -204,6 +234,12 @@ pub fn verify(module: &Module) -> Report {
         }
     }
     report.instructions = insts.len();
+    // Where a transfer may land: every instruction boundary, less the
+    // insides of guarded sequences, cleared as they are found.
+    let mut landing = vec![false; module.code.len()];
+    for &(off, ..) in &insts {
+        landing[off] = true;
+    }
 
     for (i, (off, inst, _)) in insts.iter().enumerate() {
         match inst {
@@ -216,9 +252,13 @@ pub fn verify(module: &Module) -> Report {
                 }
             Inst::Store { base, .. } | Inst::Store8 { base, .. } => {
                 report.stores += 1;
-                let frame_relative = matches!(base, Reg::Rsp | Reg::Rbp);
-                if !frame_relative && !store_is_masked(&insts, i, *base) {
-                    report.violations.push(Violation::UnsandboxedWrite { offset: *off });
+                if matches!(base, Reg::Rsp | Reg::Rbp) {
+                    continue; // frame-relative
+                }
+                match mask_of(&insts, i, *base) {
+                    // A transfer past the mask would store unmasked.
+                    Some(mask) => landing[mask + 1..=*off].fill(false),
+                    None => report.violations.push(Violation::UnsandboxedWrite { offset: *off }),
                 }
             }
             _ => {}
@@ -233,8 +273,9 @@ pub fn verify(module: &Module) -> Report {
     };
     for b in &module.aux.indirect_branches {
         report.checks += 1;
-        if let Err(v) = check_sequence(fetch, b) {
-            report.violations.push(v);
+        match check_sequence(fetch, b) {
+            Ok(chk) => landing[chk.guarded()].fill(false),
+            Err(v) => report.violations.push(v),
         }
     }
 
@@ -258,10 +299,7 @@ pub fn verify(module: &Module) -> Report {
     }
     for s in &module.aux.return_sites {
         if !(s.offset as u64).is_multiple_of(TARGET_ALIGN) {
-            let what = match s.callee {
-                mcfi_module::CalleeKind::SetJmp => "setjmp landing",
-                _ => "return site",
-            };
+            let what = site_kind(s);
             report.violations.push(Violation::MisalignedTarget { offset: s.offset, what });
         }
         if s.offset > module.code.len() {
@@ -285,23 +323,66 @@ pub fn verify(module: &Module) -> Report {
         }
     }
 
+    // Pass 5: every transfer lands where one may.
+    let mut call_relocs: Vec<usize> = module
+        .relocs
+        .iter()
+        .filter(|r| matches!(r.kind, RelocKind::CallRel(_)))
+        .map(|r| r.patch_at)
+        .collect();
+    call_relocs.sort_unstable();
+    let relocated = |off: usize, len: usize| {
+        let next = call_relocs.partition_point(|&p| p <= off);
+        call_relocs.get(next).is_some_and(|&p| p < off + len)
+    };
+    let lands = |target: usize| landing.get(target) == Some(&true);
+    for &(off, inst, len) in &insts {
+        let (Inst::Jmp { rel } | Inst::Jcc { rel, .. } | Inst::Call { rel }) = inst else {
+            continue;
+        };
+        let target = (off + len).wrapping_add_signed(rel as isize);
+        if !lands(target) && !relocated(off, len) {
+            let what = "direct branch";
+            report.violations.push(Violation::StrayTarget { target, what, from: Some(off) });
+        }
+    }
+    let entries = module.functions.values().filter(|f| f.size > 0);
+    let tables = module.aux.jump_tables.iter();
+    let declared = entries
+        .map(|f| (f.offset, "function entry"))
+        .chain(module.aux.return_sites.iter().map(|s| (s.offset, site_kind(s))))
+        .chain(tables.flat_map(|t| t.entries.iter().map(|&e| (e, "jump-table entry"))));
+    for (target, what) in declared {
+        if !lands(target) {
+            report.violations.push(Violation::StrayTarget { target, what, from: None });
+        }
+    }
+
     report
 }
 
-/// Whether the store at instruction index `i` writes through a base
-/// register masked into the sandbox. The mask must dominate the store
-/// with no intervening instruction that could change the base: only
-/// other stores (which write memory, not registers) may sit between the
-/// `AndImm` and this store — the pattern of multi-word writes such as
-/// the setjmp buffer save.
-fn store_is_masked(insts: &[(usize, Inst, usize)], i: usize, base: Reg) -> bool {
+/// What a return-site record marks.
+fn site_kind(s: &ReturnSiteInfo) -> &'static str {
+    match s.callee {
+        CalleeKind::SetJmp => "setjmp landing",
+        _ => "return site",
+    }
+}
+
+/// The offset of the mask that confines the base register of the store
+/// at instruction index `i` to the sandbox, if there is one. The mask
+/// must dominate the store with no intervening instruction that could
+/// change the base: only other stores (which write memory, not
+/// registers) may sit between the `AndImm` and this store — the pattern
+/// of multi-word writes such as the setjmp buffer save.
+fn mask_of(insts: &[(usize, Inst, usize)], i: usize, base: Reg) -> Option<usize> {
     let mut j = i;
     while j > 0 {
         j -= 1;
         let inst = &insts[j].1;
         if let Inst::AndImm { dst, imm } = inst {
             if *dst == base && *imm == SANDBOX_MASK {
-                return true;
+                return Some(insts[j].0);
             }
         }
         // Control flow invalidates the straight-line dominance argument;
@@ -319,10 +400,10 @@ fn store_is_masked(insts: &[(usize, Inst, usize)], i: usize, base: Reg) -> bool 
                 | Inst::Hlt
         );
         if is_control || writes_reg(inst, base) {
-            return false;
+            return None;
         }
     }
-    false
+    None
 }
 
 /// Whether `inst` writes register `r`.
@@ -547,6 +628,85 @@ mod tests {
         }
         let r = verify(&m);
         assert!(has(&r, |v| matches!(v, Violation::MisdirectedCheck { .. })), "{:?}", r.violations);
+        assert!(refused_on_admission(&m));
+    }
+
+    /// The offsets of the `Jmp`s the loader does not aim (no `CallRel`
+    /// relocation in their bytes): the module's own direct jumps.
+    fn plain_jmps(m: &Module) -> Vec<usize> {
+        let relocated = |at: usize| m.relocs.iter().any(|r| r.patch_at == at + 1);
+        let insts = mcfi_machine::decode_all(&m.code).unwrap();
+        insts
+            .into_iter()
+            .filter(|&(at, i)| matches!(i, Inst::Jmp { .. }) && !relocated(at))
+            .map(|(at, _)| at)
+            .collect()
+    }
+
+    fn is_stray(v: &Violation) -> bool {
+        matches!(v, Violation::StrayTarget { .. })
+    }
+
+    const LOOP: &str = "int sum(int n) { int s = 0; while (n > 0) { s = s + n; n = n - 1; } \
+                        return s; }\n";
+
+    #[test]
+    fn a_jump_into_an_instruction_is_caught() {
+        let mut m = build(LOOP);
+        assert!(verify(&m).ok() && !refused_on_admission(&m));
+        let at = plain_jmps(&m)[0];
+        let (Inst::Jmp { rel }, len) = decode(&m.code, at).unwrap() else { unreachable!() };
+        let target = (at + len).wrapping_add_signed(rel as isize);
+        assert!(decode(&m.code, target).unwrap().1 > 1, "the edit lands inside an instruction");
+        retarget(&mut m, at, target + 1);
+        let r = verify(&m);
+        assert!(has(&r, is_stray), "{:?}", r.violations);
+        assert!(refused_on_admission(&m));
+    }
+
+    #[test]
+    fn a_jump_onto_a_checks_branch_is_caught() {
+        let mut m = build(&format!("{LOOP}{DEMO}"));
+        let call = |b: &&IndirectBranchInfo| matches!(b.kind, BranchKind::IndirectCall { .. });
+        let branch = m.aux.indirect_branches.iter().find(call).unwrap().branch_offset;
+        let at = plain_jmps(&m)[0];
+        retarget(&mut m, at, branch);
+        let r = verify(&m);
+        assert!(has(&r, is_stray), "{:?}", r.violations);
+        assert!(refused_on_admission(&m));
+    }
+
+    /// A jump-table entry aimed at the owning function's own return
+    /// `JmpReg` stays inside the function, so only the landing rule sees
+    /// the unchecked jump it makes.
+    #[test]
+    fn a_jump_table_entry_onto_a_checks_branch_is_caught() {
+        let mut m = build(
+            "int f(int x) { switch (x) { case 0: return 1; case 1: return 2; case 2: return 3; \
+             case 3: return 4; default: return 0; } return 0; }",
+        );
+        let ret = |b: &&IndirectBranchInfo| matches!(b.kind, BranchKind::Return { .. });
+        let branch = m.aux.indirect_branches.iter().find(ret).unwrap().branch_offset;
+        m.aux.jump_tables[0].entries[0] = branch;
+        let r = verify(&m);
+        assert!(has(&r, is_stray), "{:?}", r.violations);
+        assert!(!has(&r, |v| matches!(v, Violation::JumpTableEscape { .. })));
+        assert!(refused_on_admission(&m));
+    }
+
+    #[test]
+    fn a_jump_past_a_mask_onto_its_store_is_caught() {
+        let mut m = build(&format!("{LOOP}void put(int* p) {{ *p = 7; }}"));
+        let insts = mcfi_machine::decode_all(&m.code).unwrap();
+        let store = insts
+            .windows(2)
+            .find(|w| matches!((w[0].1, w[1].1), (Inst::AndImm { .. }, Inst::Store { .. })))
+            .map(|w| w[1].0)
+            .unwrap();
+        let at = plain_jmps(&m)[0];
+        retarget(&mut m, at, store);
+        let r = verify(&m);
+        assert!(has(&r, is_stray), "{:?}", r.violations);
         assert!(refused_on_admission(&m));
     }
 
