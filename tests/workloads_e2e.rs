@@ -69,15 +69,34 @@ fn analyzer_rows_satisfy_table1_invariants() {
     }
 }
 
+/// The 12 workloads under both tail-call settings, plus every other
+/// module the repo ships instrumented: the startup module, the syscall
+/// stubs and the network service's guest builds.
 #[test]
 fn every_workload_module_passes_the_verifier() {
-    for b in BENCHMARKS {
-        let src = source(b, Variant::Fixed);
-        let m = mcfi::compile_module(b, &src, &BuildOptions::default())
-            .unwrap_or_else(|e| panic!("{b}: {e}"));
-        let report = mcfi_verifier::verify(&m);
-        assert!(report.ok(), "{b}: {:?}", report.violations);
-        assert!(report.checks > 10, "{b}: instrumented branches present");
+    use mcfi_netsim::guest::{server_source, HANDLERS_V1_SRC, HANDLERS_V2_SRC};
+    let compile = |name: &str, src: &str, arch: Arch| {
+        let opts = BuildOptions { arch, ..BuildOptions::default() };
+        mcfi::compile_module(name, src, &opts).unwrap_or_else(|e| panic!("{name}: {e}"))
+    };
+    let mut modules = Vec::new();
+    for arch in [Arch::X86_64, Arch::X86_32] {
+        modules.extend(BENCHMARKS.map(|b| compile(b, &source(b, Variant::Fixed), arch)));
+    }
+    let [stubs, _, start] = mcfi::standard_modules(&BuildOptions::default()).expect("builds");
+    modules.extend([
+        stubs,
+        start,
+        compile("nethandlers", HANDLERS_V1_SRC, Arch::X86_64),
+        compile("nethandlers_v2", HANDLERS_V2_SRC, Arch::X86_64),
+        compile("netserver", &server_source(false), Arch::X86_64),
+        compile("netserver", &server_source(true), Arch::X86_64),
+    ]);
+    for (i, m) in modules.iter().enumerate() {
+        let report = mcfi_verifier::verify(m);
+        assert!(report.ok(), "{}: {:?}", m.name, report.violations);
+        let floor = if i < 2 * BENCHMARKS.len() { 10 } else { 0 };
+        assert!(report.checks > floor, "{}: instrumented branches present", m.name);
     }
 }
 
