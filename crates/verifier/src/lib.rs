@@ -191,8 +191,8 @@ impl Report {
 ///    check from its `TaryLoad` through its branch
 ///    ([`mcfi_machine::check::Check::guarded`]), or a mask from the
 ///    instruction after its `AndImm` through the last store it covers.
-///    A branch whose bytes carry a `CallRel` relocation is exempt: the
-///    loader aims it at a function entry or a PLT stub.
+///    A branch whose displacement carries a `CallRel` relocation is
+///    exempt: the loader aims it at a function entry or a PLT stub.
 pub fn verify(module: &Module) -> Report {
     let mut report = Report::default();
 
@@ -323,7 +323,9 @@ pub fn verify(module: &Module) -> Report {
         }
     }
 
-    // Pass 5: every transfer lands where one may.
+    // Pass 5: every transfer lands where one may. The loader aims a
+    // branch whose displacement (its last four bytes) carries a
+    // `CallRel` relocation.
     let mut call_relocs: Vec<usize> = module
         .relocs
         .iter()
@@ -331,10 +333,7 @@ pub fn verify(module: &Module) -> Report {
         .map(|r| r.patch_at)
         .collect();
     call_relocs.sort_unstable();
-    let relocated = |off: usize, len: usize| {
-        let next = call_relocs.partition_point(|&p| p <= off);
-        call_relocs.get(next).is_some_and(|&p| p < off + len)
-    };
+    let relocated = |off: usize, len: usize| call_relocs.binary_search(&(off + len - 4)).is_ok();
     let lands = |target: usize| landing.get(target) == Some(&true);
     for &(off, inst, len) in &insts {
         let (Inst::Jmp { rel } | Inst::Jcc { rel, .. } | Inst::Call { rel }) = inst else {
