@@ -60,7 +60,7 @@ impl Asm {
 
     /// Lets `write` append bytes directly, for sequences that lay
     /// themselves out (the check sequence of [`mcfi_machine::check`]).
-    pub fn append<R>(&mut self, write: impl FnOnce(&mut Vec<u8>) -> R) -> R {
+    pub(crate) fn append<R>(&mut self, write: impl FnOnce(&mut Vec<u8>) -> R) -> R {
         write(&mut self.bytes)
     }
 
