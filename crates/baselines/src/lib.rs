@@ -14,8 +14,10 @@
 //! * **no CFI**: every code byte is a possible target.
 //!
 //! All policies are expressed as per-branch target sets over the same
-//! loaded modules, merged into equivalence classes with the same
-//! union-find as MCFI, so Table 3-style statistics and the AIR metric
+//! loaded modules. The table-enforced ones (MCFI, classic, coarse) are
+//! merged into equivalence classes by the same routine as MCFI's,
+//! [`ControlFlowPolicy::from_branches`], and measured by the same
+//! per-branch class size, so Table 3-style statistics and the AIR metric
 //! (§8.3) are directly comparable.
 
 #![forbid(unsafe_code)]
@@ -23,7 +25,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use mcfi_cfggen::{generate, BranchPolicy, CfgStats, ControlFlowPolicy, Placed, UnionFind};
+use mcfi_cfggen::{generate, BranchPolicy, CfgStats, ControlFlowPolicy, Placed};
 use mcfi_module::{BranchKind, CalleeKind};
 
 /// Which policy to evaluate.
@@ -72,22 +74,9 @@ pub struct PolicyEval {
 pub fn evaluate(placed: &[Placed<'_>], policy: PolicyKind) -> PolicyEval {
     let code_bytes: u64 = placed.iter().map(|p| p.module.code.len() as u64).sum();
     match policy {
-        PolicyKind::Mcfi => {
-            let p = generate(placed);
-            // Class sizes.
-            let mut class_size: BTreeMap<u32, u64> = BTreeMap::new();
-            for ecn in p.tary.values() {
-                *class_size.entry(*ecn).or_insert(0) += 1;
-            }
-            let counts = p
-                .bary
-                .iter()
-                .map(|b| class_size.get(&b.ecn).copied().unwrap_or(0))
-                .collect();
-            PolicyEval { branch_target_counts: counts, stats: p.stats }
-        }
-        PolicyKind::Classic | PolicyKind::Coarse => {
-            eval_sets(placed, policy)
+        PolicyKind::Mcfi | PolicyKind::Classic | PolicyKind::Coarse => {
+            let p = generate_policy(placed, policy);
+            PolicyEval { branch_target_counts: p.class_sizes(), stats: p.stats }
         }
         PolicyKind::Chunk { size } => {
             let branches = count_branches(placed);
@@ -122,69 +111,16 @@ fn count_branches(placed: &[Placed<'_>]) -> usize {
 pub fn generate_policy(placed: &[Placed<'_>], policy: PolicyKind) -> ControlFlowPolicy {
     match policy {
         PolicyKind::Mcfi => generate(placed),
-        PolicyKind::Classic | PolicyKind::Coarse => sets_to_policy(placed, policy),
+        PolicyKind::Classic | PolicyKind::Coarse => {
+            ControlFlowPolicy::from_branches(raw_sets(placed, policy))
+        }
         other => panic!("{other:?} is not a table-enforced policy"),
     }
 }
 
-fn sets_to_policy(placed: &[Placed<'_>], policy: PolicyKind) -> ControlFlowPolicy {
-    let (sets, branch_meta) = raw_sets(placed, policy);
-    let all_targets: Vec<u64> = {
-        let mut s = BTreeSet::new();
-        for set in &sets {
-            s.extend(set.iter().copied());
-        }
-        s.into_iter().collect()
-    };
-    let index: BTreeMap<u64, usize> =
-        all_targets.iter().enumerate().map(|(i, a)| (*a, i)).collect();
-    let mut uf = UnionFind::new(all_targets.len());
-    for set in &sets {
-        let mut it = set.iter();
-        if let Some(first) = it.next() {
-            let fi = index[first];
-            for t in it {
-                uf.union(fi, index[t]);
-            }
-        }
-    }
-    let mut ecn_of_root: BTreeMap<usize, u32> = BTreeMap::new();
-    let mut tary = BTreeMap::new();
-    for (i, addr) in all_targets.iter().enumerate() {
-        let root = uf.find(i);
-        let next = ecn_of_root.len() as u32;
-        let ecn = *ecn_of_root.entry(root).or_insert(next);
-        tary.insert(*addr, ecn);
-    }
-    let mut next_ecn = ecn_of_root.len() as u32;
-    let bary = sets
-        .iter()
-        .zip(branch_meta)
-        .map(|(set, (module, local_slot))| {
-            let ecn = match set.iter().next() {
-                Some(t) => tary[t],
-                None => {
-                    let e = next_ecn;
-                    next_ecn += 1;
-                    e
-                }
-            };
-            BranchPolicy { module, local_slot, ecn, targets: set.clone() }
-        })
-        .collect::<Vec<_>>();
-    let stats = CfgStats {
-        ibs: bary.len(),
-        ibts: all_targets.len(),
-        eqcs: ecn_of_root.len(),
-    };
-    ControlFlowPolicy { tary, bary, stats }
-}
-
-/// Raw (pre-merge) target sets per branch plus `(module, local_slot)`.
-fn raw_sets(
-    placed: &[Placed<'_>],
-    policy: PolicyKind,
-) -> (Vec<BTreeSet<u64>>, Vec<(usize, u32)>) {
+/// Raw (pre-merge) target sets per branch, in global slot order, with
+/// their ECNs unset.
+fn raw_sets(placed: &[Placed<'_>], policy: PolicyKind) -> Vec<BranchPolicy> {
     // Address-taken function entries (all types merged).
     let mut at_entries: BTreeSet<u64> = BTreeSet::new();
     // Names taken via relocations anywhere (cross-module address taking).
@@ -234,12 +170,10 @@ fn raw_sets(
     }
 
     // Per-branch raw target sets.
-    let mut sets: Vec<BTreeSet<u64>> = Vec::new();
-    let mut meta: Vec<(usize, u32)> = Vec::new();
+    let mut bary = Vec::new();
     for (mi, p) in placed.iter().enumerate() {
         for b in &p.module.aux.indirect_branches {
-            meta.push((mi, b.local_slot));
-            let set = match (&b.kind, policy) {
+            let targets = match (&b.kind, policy) {
                 (
                     BranchKind::IndirectCall { .. } | BranchKind::IndirectTailCall { .. },
                     _,
@@ -272,27 +206,10 @@ fn raw_sets(
                 }
                 (BranchKind::Return { .. }, _) => all_sites.clone(),
             };
-            sets.push(set);
+            bary.push(BranchPolicy { module: mi, local_slot: b.local_slot, ecn: 0, targets });
         }
     }
-    (sets, meta)
-}
-
-/// Shared evaluation for the set-based baselines (classic and coarse):
-/// merge overlapping sets into equivalence classes (§2) and report the
-/// post-merge class size per branch.
-fn eval_sets(placed: &[Placed<'_>], policy: PolicyKind) -> PolicyEval {
-    let p = sets_to_policy(placed, policy);
-    let mut class_size: BTreeMap<u32, u64> = BTreeMap::new();
-    for ecn in p.tary.values() {
-        *class_size.entry(*ecn).or_insert(0) += 1;
-    }
-    let counts = p
-        .bary
-        .iter()
-        .map(|b| class_size.get(&b.ecn).copied().unwrap_or(0))
-        .collect();
-    PolicyEval { branch_target_counts: counts, stats: p.stats }
+    bary
 }
 
 /// The Average Indirect-target Reduction metric (binCFI, reference 26 of

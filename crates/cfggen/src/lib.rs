@@ -17,11 +17,13 @@
 //! * `switch` jump tables are *not* in the policy: they are read-only and
 //!   statically verified instead.
 //!
-//! Target addresses are then partitioned into equivalence classes: two
-//! addresses are equivalent if some branch can jump to both, so branches
-//! with overlapping target sets have their sets merged (the precision
-//! loss the paper accepts for a single-comparison check). Each class gets
-//! an ECN; Table 3's `IBs`/`IBTs`/`EQCs` come from [`CfgStats`].
+//! Target addresses are then partitioned into equivalence classes by
+//! [`ControlFlowPolicy::from_branches`]: two addresses are equivalent if
+//! some branch can jump to both, so branches with overlapping target sets
+//! have their sets merged (the precision loss the paper accepts for a
+//! single-comparison check). Each class gets an ECN; Table 3's
+//! `IBs`/`IBTs`/`EQCs` come from [`CfgStats`]. The baseline policies
+//! (`mcfi_baselines`) build their classes through the same routine.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -76,9 +78,76 @@ pub struct ControlFlowPolicy {
 }
 
 impl ControlFlowPolicy {
-    /// Members of the equivalence class `ecn`.
-    pub fn class_members(&self, ecn: u32) -> impl Iterator<Item = u64> + '_ {
-        self.tary.iter().filter(move |(_, e)| **e == ecn).map(|(a, _)| *a)
+    /// Merges per-branch target sets into equivalence classes (paper §2),
+    /// the one class construction every table-enforced policy goes
+    /// through. `bary` holds each branch's raw target set in global slot
+    /// order; its ECNs are ignored and assigned here.
+    ///
+    /// Two addresses share a class if some branch can reach both
+    /// (union-find over the sorted target addresses); classes are numbered
+    /// densely in address order, a branch takes its targets' class, and a
+    /// branch with no targets gets a fresh, empty class of its own.
+    pub fn from_branches(mut bary: Vec<BranchPolicy>) -> Self {
+        let all_targets: Vec<u64> = {
+            let mut s = BTreeSet::new();
+            for b in &bary {
+                s.extend(b.targets.iter().copied());
+            }
+            s.into_iter().collect()
+        };
+        let index_of: HashMap<u64, usize> =
+            all_targets.iter().enumerate().map(|(i, a)| (*a, i)).collect();
+        let mut uf = UnionFind::new(all_targets.len());
+        for b in &bary {
+            let mut iter = b.targets.iter();
+            if let Some(first) = iter.next() {
+                let fi = index_of[first];
+                for t in iter {
+                    uf.union(fi, index_of[t]);
+                }
+            }
+        }
+
+        // Dense ECN numbering per class root.
+        let mut ecn_of_root: HashMap<usize, u32> = HashMap::new();
+        let mut tary = BTreeMap::new();
+        for (i, addr) in all_targets.iter().enumerate() {
+            let root = uf.find(i);
+            let next = ecn_of_root.len() as u32;
+            let ecn = *ecn_of_root.entry(root).or_insert(next);
+            tary.insert(*addr, ecn);
+        }
+        let mut next_ecn = ecn_of_root.len() as u32;
+        for b in &mut bary {
+            b.ecn = match b.targets.iter().next() {
+                Some(t) => tary[t],
+                None => {
+                    // A branch with no legal targets gets a fresh, empty class:
+                    // every transfer through it is a violation.
+                    let e = next_ecn;
+                    next_ecn += 1;
+                    e
+                }
+            };
+        }
+
+        let stats = CfgStats {
+            ibs: bary.len(),
+            ibts: all_targets.len(),
+            eqcs: ecn_of_root.len(),
+        };
+        ControlFlowPolicy { tary, bary, stats }
+    }
+
+    /// For each branch in global slot order, the number of addresses in its
+    /// equivalence class: what the branch may reach once classes are
+    /// merged (0 for a branch with no targets).
+    pub fn class_sizes(&self) -> Vec<u64> {
+        let mut class_size: BTreeMap<u32, u64> = BTreeMap::new();
+        for ecn in self.tary.values() {
+            *class_size.entry(*ecn).or_insert(0) += 1;
+        }
+        self.bary.iter().map(|b| class_size.get(&b.ecn).copied().unwrap_or(0)).collect()
     }
 
     /// The global Bary slot of a module-local branch.
@@ -159,7 +228,6 @@ pub fn generate(placed: &[Placed<'_>]) -> ControlFlowPolicy {
         if taken_names.contains(name) && matches!(key, FuncKey::Global(_)) {
             info.address_taken = true;
         }
-        let _ = name;
     }
 
     let resolve = |mi: usize, name: &str| -> Option<FuncKey> {
@@ -213,7 +281,7 @@ pub fn generate(placed: &[Placed<'_>]) -> ControlFlowPolicy {
 
     // Return targets of `f`: sites after calls to any member of the
     // tail-caller closure of f (including f itself).
-    let return_targets = |fkey: &FuncKey, finfo: &FuncInfo| -> BTreeSet<u64> {
+    let return_targets = |fkey: &FuncKey| -> BTreeSet<u64> {
         let mut closure: BTreeSet<FuncKey> = BTreeSet::new();
         let mut work = vec![fkey.clone()];
         while let Some(k) = work.pop() {
@@ -248,7 +316,6 @@ pub fn generate(placed: &[Placed<'_>]) -> ControlFlowPolicy {
                 }
             }
         }
-        let _ = finfo;
         out
     };
 
@@ -267,10 +334,7 @@ pub fn generate(placed: &[Placed<'_>]) -> ControlFlowPolicy {
         for b in &p.module.aux.indirect_branches {
             let targets = match &b.kind {
                 BranchKind::Return { function } => match resolve(mi, function) {
-                    Some(key) => {
-                        let info = funcs[&key].clone();
-                        return_targets(&key, &info)
-                    }
+                    Some(key) => return_targets(&key),
                     None => BTreeSet::new(),
                 },
                 BranchKind::IndirectCall { sig } | BranchKind::IndirectTailCall { sig } => {
@@ -284,65 +348,10 @@ pub fn generate(placed: &[Placed<'_>]) -> ControlFlowPolicy {
                 }
                 BranchKind::LongJmp => setjmp_sites.clone(),
             };
-            bary.push(BranchPolicy {
-                module: mi,
-                local_slot: b.local_slot,
-                ecn: 0, // assigned below
-                targets,
-            });
+            bary.push(BranchPolicy { module: mi, local_slot: b.local_slot, ecn: 0, targets });
         }
     }
-
-    // ---- equivalence classes: union-find over target addresses ----
-    let all_targets: Vec<u64> = {
-        let mut s = BTreeSet::new();
-        for b in &bary {
-            s.extend(b.targets.iter().copied());
-        }
-        s.into_iter().collect()
-    };
-    let index_of: HashMap<u64, usize> =
-        all_targets.iter().enumerate().map(|(i, a)| (*a, i)).collect();
-    let mut uf = UnionFind::new(all_targets.len());
-    for b in &bary {
-        let mut iter = b.targets.iter();
-        if let Some(first) = iter.next() {
-            let fi = index_of[first];
-            for t in iter {
-                uf.union(fi, index_of[t]);
-            }
-        }
-    }
-
-    // Dense ECN numbering per class root.
-    let mut ecn_of_root: HashMap<usize, u32> = HashMap::new();
-    let mut tary = BTreeMap::new();
-    for (i, addr) in all_targets.iter().enumerate() {
-        let root = uf.find(i);
-        let next = ecn_of_root.len() as u32;
-        let ecn = *ecn_of_root.entry(root).or_insert(next);
-        tary.insert(*addr, ecn);
-    }
-    let mut next_ecn = ecn_of_root.len() as u32;
-    for b in &mut bary {
-        b.ecn = match b.targets.iter().next() {
-            Some(t) => tary[t],
-            None => {
-                // A branch with no legal targets gets a fresh, empty class:
-                // every transfer through it is a violation.
-                let e = next_ecn;
-                next_ecn += 1;
-                e
-            }
-        };
-    }
-
-    let stats = CfgStats {
-        ibs: bary.len(),
-        ibts: all_targets.len(),
-        eqcs: ecn_of_root.len(),
-    };
-    ControlFlowPolicy { tary, bary, stats }
+    ControlFlowPolicy::from_branches(bary)
 }
 
 /// Convenience for single-module programs.
@@ -352,19 +361,19 @@ pub fn generate_single(module: &Module, code_base: u64) -> ControlFlowPolicy {
 
 /// A plain union-find over dense indices.
 #[derive(Clone, Debug)]
-pub struct UnionFind {
+struct UnionFind {
     parent: Vec<usize>,
     rank: Vec<u8>,
 }
 
 impl UnionFind {
     /// `n` singleton sets.
-    pub fn new(n: usize) -> Self {
+    fn new(n: usize) -> Self {
         UnionFind { parent: (0..n).collect(), rank: vec![0; n] }
     }
 
     /// Representative of `x`'s set (with path compression).
-    pub fn find(&mut self, x: usize) -> usize {
+    fn find(&mut self, x: usize) -> usize {
         let mut root = x;
         while self.parent[root] != root {
             root = self.parent[root];
@@ -379,7 +388,7 @@ impl UnionFind {
     }
 
     /// Merges the sets of `a` and `b`; returns the new root.
-    pub fn union(&mut self, a: usize, b: usize) -> usize {
+    fn union(&mut self, a: usize, b: usize) -> usize {
         let (ra, rb) = (self.find(a), self.find(b));
         if ra == rb {
             return ra;
