@@ -82,14 +82,33 @@ impl Asm {
 
     /// Emits an unconditional jump to `label` (fixed up later).
     pub fn jmp(&mut self, label: Label) {
-        let at = self.emit(Inst::Jmp { rel: 0 });
-        self.fixups.push((at + 1, at + 5, label));
+        self.branch(Inst::Jmp { rel: 0 }, label);
     }
 
     /// Emits a conditional jump to `label`.
     pub fn jcc(&mut self, cc: mcfi_machine::Cond, label: Label) {
-        let at = self.emit(Inst::Jcc { cc, rel: 0 });
-        self.fixups.push((at + 2, at + 6, label));
+        self.branch(Inst::Jcc { cc, rel: 0 }, label);
+    }
+
+    /// Emits the direct branch `inst` with a fixup of its displacement
+    /// ([`Inst::operand`]) to `label`.
+    fn branch(&mut self, inst: Inst, label: Label) {
+        let at = self.emit(inst);
+        let rel = inst.operand().expect("a direct branch has a displacement");
+        self.fixups.push((at + rel.start, self.here(), label));
+    }
+
+    /// Emits `inst` with a relocation of `kind` on its patchable operand
+    /// ([`Inst::operand`]). Returns the offset of the instruction.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `inst` has no patchable operand (an emitter bug).
+    pub(crate) fn emit_reloc(&mut self, inst: Inst, kind: RelocKind) -> usize {
+        let at = self.emit(inst);
+        let field = inst.operand().expect("a relocated instruction has an operand");
+        self.relocs.push(Reloc { patch_at: at + field.start, kind });
+        at
     }
 
     /// Emits a direct call whose target is resolved by the linker.
@@ -97,24 +116,14 @@ impl Asm {
     /// Also used for direct tail-call jumps: `is_jmp` selects the opcode.
     /// Returns the offset of the instruction.
     pub fn call_reloc(&mut self, callee: &str, is_jmp: bool) -> usize {
-        let at = if is_jmp {
-            self.emit(Inst::Jmp { rel: 0 })
-        } else {
-            self.emit(Inst::Call { rel: 0 })
-        };
-        self.relocs.push(Reloc {
-            patch_at: at + 1,
-            kind: RelocKind::CallRel(callee.to_string()),
-        });
-        at
+        let inst = if is_jmp { Inst::Jmp { rel: 0 } } else { Inst::Call { rel: 0 } };
+        self.emit_reloc(inst, RelocKind::CallRel(callee.to_string()))
     }
 
     /// Emits `MovImm dst, 0` with a relocation of the given kind on the
     /// 8-byte immediate. Returns the instruction offset.
     pub fn mov_reloc(&mut self, dst: mcfi_machine::Reg, kind: RelocKind) -> usize {
-        let at = self.emit(Inst::MovImm { dst, imm: 0 });
-        self.relocs.push(Reloc { patch_at: at + 2, kind });
-        at
+        self.emit_reloc(Inst::MovImm { dst, imm: 0 }, kind)
     }
 
     /// The bound offset of `label`, if any.
@@ -126,8 +135,7 @@ impl Asm {
     /// filled in later via [`Asm::set_code_abs`]. Returns the relocation
     /// index.
     pub fn mov_code_abs(&mut self, dst: mcfi_machine::Reg) -> usize {
-        let at = self.emit(Inst::MovImm { dst, imm: 0 });
-        self.relocs.push(Reloc { patch_at: at + 2, kind: RelocKind::CodeAbs(0) });
+        self.mov_reloc(dst, RelocKind::CodeAbs(0));
         self.relocs.len() - 1
     }
 

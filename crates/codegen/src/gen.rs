@@ -672,15 +672,10 @@ impl Generator {
             entry_labels[(v - min) as usize] = cx.block_labels[bb.0 as usize];
         }
         let index = self.tables.len();
-        let at = self.asm.emit(Inst::JmpTable {
-            index: Reg::Rax,
-            table: 0,
-            len: range as u32,
-        });
-        self.asm.relocs.push(Reloc {
-            patch_at: at + 2,
-            kind: RelocKind::JumpTable(index as u32),
-        });
+        self.asm.emit_reloc(
+            Inst::JmpTable { index: Reg::Rax, table: 0, len: range as u32 },
+            RelocKind::JumpTable(index as u32),
+        );
         self.tables.push(PendingTable {
             index,
             entries: entry_labels,

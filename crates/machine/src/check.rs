@@ -232,16 +232,17 @@ pub fn emit(code: &mut Vec<u8>, slot: u32, transfer: Transfer, retry: Option<usi
 /// (§5.1). Saturating, so a hostile offset yields a range past any
 /// image rather than an overflow.
 pub fn slot_bytes(start: usize) -> Range<usize> {
-    start.saturating_add(2)..start.saturating_add(6)
+    let slot = Inst::BaryLoad { dst: Reg::Rdi, slot: 0 }.operand().expect("a slot operand");
+    start.saturating_add(slot.start)..start.saturating_add(slot.end)
 }
 
 /// Points the `Jmp` or `Jcc` the emitter wrote at `at` to `to`: its
-/// displacement is its last four bytes, relative to its end.
+/// displacement is relative to its end.
 fn aim(code: &mut [u8], at: usize, to: usize) {
-    let (_, len) = decode(code, at).expect("the emitter wrote a branch here");
-    let end = at + len;
-    let rel = (to as i64 - end as i64) as i32;
-    code[end - 4..end].copy_from_slice(&rel.to_le_bytes());
+    let (inst, len) = decode(code, at).expect("the emitter wrote a branch here");
+    let rel = (to as i64 - (at + len) as i64) as i32;
+    let field = inst.operand().expect("a branch has a displacement");
+    code[at + field.start..at + field.end].copy_from_slice(&rel.to_le_bytes());
 }
 
 /// Reads a sequence one instruction at a time.

@@ -6,6 +6,7 @@
 //! a different — and possibly still valid — instruction stream (§8.3).
 
 use core::fmt;
+use core::ops::Range;
 
 use crate::inst::{AluOp, Cond, FaluOp, Inst};
 use crate::reg::Reg;
@@ -241,6 +242,28 @@ pub fn encode_into(inst: &Inst, out: &mut Vec<u8>) -> usize {
         Inst::Nop => out.push(OP_NOP),
     }
     out.len() - start
+}
+
+impl Inst {
+    /// The bytes of this instruction's patchable operand, relative to its
+    /// first byte: the one field a relocation, the linker, the loader or
+    /// an emitter's fixup writes after encoding. `None` for an
+    /// instruction without one.
+    ///
+    /// | instruction          | operand                                 |
+    /// |----------------------|-----------------------------------------|
+    /// | `MovImm`             | the 8-byte immediate                    |
+    /// | `Call`, `Jmp`, `Jcc` | the rel32 displacement, its last 4 bytes |
+    /// | `JmpTable`           | the 4-byte table address                |
+    /// | `BaryLoad`           | the 4-byte Bary slot                    |
+    pub fn operand(&self) -> Option<Range<usize>> {
+        match self {
+            Inst::MovImm { .. } => Some(2..10),
+            Inst::Call { .. } | Inst::Jmp { .. } => Some(1..5),
+            Inst::Jcc { .. } | Inst::JmpTable { .. } | Inst::BaryLoad { .. } => Some(2..6),
+            _ => None,
+        }
+    }
 }
 
 /// Encodes a sequence of instructions into a fresh byte vector.
@@ -552,6 +575,37 @@ mod tests {
             assert_eq!(decoded, inst);
             assert_eq!(len, bytes.len(), "{inst}");
         }
+    }
+
+    /// Each operand range holds exactly the field it names: writing the
+    /// field's value moves those bytes and no others.
+    #[test]
+    fn operands_are_the_patchable_fields() {
+        let fields = |inst: Inst| match inst {
+            Inst::MovImm { imm, .. } => imm.to_le_bytes().to_vec(),
+            Inst::Call { rel } | Inst::Jmp { rel } | Inst::Jcc { rel, .. } => {
+                rel.to_le_bytes().to_vec()
+            }
+            Inst::JmpTable { table, .. } => table.to_le_bytes().to_vec(),
+            Inst::BaryLoad { slot, .. } => slot.to_le_bytes().to_vec(),
+            other => panic!("{other} has no operand"),
+        };
+        let mut with_operand = 0;
+        for inst in sample_instructions() {
+            let Some(field) = inst.operand() else { continue };
+            with_operand += 1;
+            let bytes = encode(&[inst]);
+            assert_eq!(bytes[field.clone()], fields(inst), "{inst}");
+            if matches!(inst, Inst::Call { .. } | Inst::Jmp { .. } | Inst::Jcc { .. }) {
+                assert_eq!(field.end, bytes.len(), "{inst}: the displacement ends the branch");
+            }
+            let mut moved = bytes.clone();
+            moved[field.clone()].iter_mut().for_each(|b| *b ^= 0xff);
+            let (other, _) = decode(&moved, 0).unwrap();
+            assert_eq!(encode(&[other])[..field.start], bytes[..field.start], "{inst}");
+            assert_eq!(encode(&[other])[field.end..], bytes[field.end..], "{inst}");
+        }
+        assert_eq!(with_operand, 6);
     }
 
     #[test]

@@ -16,7 +16,7 @@ use mcfi_machine::check;
 use mcfi_minic::types::{Type, TypeEnv};
 
 use crate::wire::{self, DecodeLimits, WireError, WireErrorKind};
-use crate::{Module, Reloc, RelocKind};
+use crate::{Module, Reloc};
 
 /// Why an untrusted module image was refused admission.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -92,17 +92,6 @@ impl From<WireError> for AdmissionError {
     }
 }
 
-/// Width in bytes of the immediate a relocation kind patches.
-fn reloc_width(kind: &RelocKind) -> usize {
-    match kind {
-        RelocKind::FuncAbs(_)
-        | RelocKind::GlobalAbs(_)
-        | RelocKind::GotSlot(_)
-        | RelocKind::CodeAbs(_) => 8,
-        RelocKind::JumpTable(_) | RelocKind::CallRel(_) => 4,
-    }
-}
-
 fn malformed(offset: usize, what: impl Into<String>) -> AdmissionError {
     AdmissionError::Malformed { offset, what: what.into() }
 }
@@ -126,8 +115,7 @@ fn check_span(
 
 fn check_relocs(relocs: &[Reloc], size: usize, section: &str) -> Result<(), AdmissionError> {
     for (i, r) in relocs.iter().enumerate() {
-        let width = reloc_width(&r.kind);
-        check_span(r.patch_at, width, size, section, &format!("reloc #{i}"))?;
+        check_span(r.patch_at, r.kind.width(), size, section, &format!("reloc #{i}"))?;
     }
     Ok(())
 }
@@ -263,7 +251,7 @@ impl Module {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FunctionSym, GlobalSym, IndirectBranchInfo, JumpTableInfo};
+    use crate::{FunctionSym, GlobalSym, IndirectBranchInfo, JumpTableInfo, RelocKind};
     use mcfi_minic::types::FuncType;
 
     fn int_sig() -> FuncType {

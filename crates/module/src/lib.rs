@@ -35,15 +35,6 @@ use serde::{Deserialize, Serialize};
 
 use mcfi_minic::types::{FuncType, TypeEnv};
 
-/// Default base address at which a process's code region starts.
-///
-/// The region below it is reserved (null page etc.); code for dynamically
-/// loaded modules is placed at increasing addresses within the sandbox.
-pub const CODE_BASE: u64 = 0x1000;
-
-/// Default base address of the data region within the `[0, 4 GiB)` sandbox.
-pub const DATA_BASE: u64 = 0x40_0000;
-
 /// A function symbol.
 #[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
 pub struct FunctionSym {
@@ -87,6 +78,19 @@ pub enum RelocKind {
     /// 8-byte absolute address of an offset within this module's own code
     /// (used for `setjmp` landing points).
     CodeAbs(u64),
+}
+
+impl RelocKind {
+    /// Width in bytes of the field this relocation writes.
+    pub fn width(&self) -> usize {
+        match self {
+            RelocKind::FuncAbs(_)
+            | RelocKind::GlobalAbs(_)
+            | RelocKind::GotSlot(_)
+            | RelocKind::CodeAbs(_) => 8,
+            RelocKind::JumpTable(_) | RelocKind::CallRel(_) => 4,
+        }
+    }
 }
 
 /// A relocation: patch `kind` into the code at byte offset `patch_at`.

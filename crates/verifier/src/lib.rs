@@ -16,12 +16,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use mcfi_machine::check::{self, Check};
 use mcfi_machine::{decode, Inst, Reg, SANDBOX_MASK, TARGET_ALIGN};
-use mcfi_module::{CalleeKind, IndirectBranchInfo, Module, RelocKind, ReturnSiteInfo};
+use mcfi_module::{
+    CalleeKind, FunctionSym, IndirectBranchInfo, Module, Reloc, RelocKind, ReturnSiteInfo,
+};
 
 /// A single verification failure.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -78,6 +80,31 @@ pub enum Violation {
         /// The branch's offset, for a direct branch.
         from: Option<usize>,
     },
+    /// A code relocation does not patch exactly one operand
+    /// ([`Inst::operand`]) of an instruction on the linear disassembly's
+    /// boundaries that its kind fits — the absolute kinds a `MovImm`'s
+    /// immediate, `CallRel` a `Call`'s or `Jmp`'s displacement,
+    /// `JumpTable` a `JmpTable`'s table field — or patches an operand
+    /// another relocation already patches. The loader writes relocations
+    /// after the verifier has read the code, so any other patch could
+    /// rewrite verified instructions.
+    MisplacedRelocation {
+        /// The relocation's `patch_at`.
+        patch_at: usize,
+        /// What is wrong.
+        what: &'static str,
+    },
+    /// A `JmpTable` whose table field does not carry exactly one
+    /// `JumpTable(i)` relocation naming a recorded table of the function
+    /// that contains it, or whose `len` differs from that table's entry
+    /// count: the VM would read its target from memory no table rule
+    /// covers.
+    UnboundJumpTable {
+        /// Offset of the `JmpTable`.
+        offset: usize,
+        /// What is wrong.
+        what: &'static str,
+    },
     /// A store's address register is not masked into the sandbox
     /// immediately before the write (and is not frame-relative).
     UnsandboxedWrite {
@@ -130,6 +157,12 @@ impl fmt::Display for Violation {
                     write!(f, " at {from:#x}")?;
                 }
                 write!(f, " lands at {target:#x}, where no transfer may land")
+            }
+            Violation::MisplacedRelocation { patch_at, what } => {
+                write!(f, "relocation at {patch_at:#x} {what}")
+            }
+            Violation::UnboundJumpTable { offset, what } => {
+                write!(f, "jump-table jump at {offset:#x}: {what}")
             }
             Violation::UnsandboxedWrite { offset } => {
                 write!(f, "unsandboxed memory write at {offset:#x}")
@@ -191,8 +224,16 @@ impl Report {
 ///    check from its `TaryLoad` through its branch
 ///    ([`mcfi_machine::check::Check::guarded`]), or a mask from the
 ///    instruction after its `AndImm` through the last store it covers.
-///    A branch whose displacement carries a `CallRel` relocation is
-///    exempt: the loader aims it at a function entry or a PLT stub.
+///    A branch whose displacement carries a `CallRel` relocation that
+///    passes rule 8 is exempt: the loader aims it at a function entry or
+///    a PLT stub;
+/// 8. every code relocation patches exactly one operand
+///    ([`Inst::operand`]) of an instruction of the linear disassembly
+///    that its kind fits, and no two patch the same operand;
+/// 9. every `JmpTable` carries a `JumpTable(i)` relocation on its table
+///    field, table `i` is a recorded table of the function containing
+///    the instruction, and the instruction's `len` is that table's entry
+///    count.
 pub fn verify(module: &Module) -> Report {
     let mut report = Report::default();
 
@@ -280,11 +321,10 @@ pub fn verify(module: &Module) -> Report {
     }
 
     // Pass 3: alignment and bounds of every possible Tary target.
-    for (name, f) in &module.functions {
+    for f in module.functions.values() {
         if f.size == 0 {
             continue; // declaration: no trusted offset
         }
-        let _ = name;
         if !(f.offset as u64).is_multiple_of(TARGET_ALIGN) {
             report
                 .violations
@@ -323,24 +363,39 @@ pub fn verify(module: &Module) -> Report {
         }
     }
 
-    // Pass 5: every transfer lands where one may. The loader aims a
-    // branch whose displacement (its last four bytes) carries a
-    // `CallRel` relocation.
-    let mut call_relocs: Vec<usize> = module
-        .relocs
-        .iter()
-        .filter(|r| matches!(r.kind, RelocKind::CallRel(_)))
-        .map(|r| r.patch_at)
-        .collect();
-    call_relocs.sort_unstable();
-    let relocated = |off: usize, len: usize| call_relocs.binary_search(&(off + len - 4)).is_ok();
+    // Pass 5: every code relocation patches one operand its kind fits,
+    // and each operand at most once. `relocated` maps the offset of each
+    // patched instruction to its relocation.
+    let mut relocated: BTreeMap<usize, &RelocKind> = BTreeMap::new();
+    for r in &module.relocs {
+        let what = match patched_instruction(&insts, r) {
+            Ok(at) if relocated.insert(at, &r.kind).is_none() => continue,
+            Ok(_) => "patches an operand another relocation patches",
+            Err(what) => what,
+        };
+        report.violations.push(Violation::MisplacedRelocation { patch_at: r.patch_at, what });
+    }
+
+    // Pass 6: every jump-table jump reads a recorded table of its own
+    // function, bounded by that table's length.
+    for &(at, inst, _) in &insts {
+        if let Inst::JmpTable { len, .. } = inst {
+            if let Err(what) = bound_table(module, relocated.get(&at).copied(), at, len) {
+                report.violations.push(Violation::UnboundJumpTable { offset: at, what });
+            }
+        }
+    }
+
+    // Pass 7: every transfer lands where one may. The loader aims a
+    // branch whose displacement carries a `CallRel` relocation.
     let lands = |target: usize| landing.get(target) == Some(&true);
     for &(off, inst, len) in &insts {
         let (Inst::Jmp { rel } | Inst::Jcc { rel, .. } | Inst::Call { rel }) = inst else {
             continue;
         };
         let target = (off + len).wrapping_add_signed(rel as isize);
-        if !lands(target) && !relocated(off, len) {
+        let aimed_by_loader = matches!(relocated.get(&off), Some(RelocKind::CallRel(_)));
+        if !lands(target) && !aimed_by_loader {
             let what = "direct branch";
             report.violations.push(Violation::StrayTarget { target, what, from: Some(off) });
         }
@@ -358,6 +413,53 @@ pub fn verify(module: &Module) -> Report {
     }
 
     report
+}
+
+/// The offset of the instruction whose operand relocation `r` patches,
+/// if `r` covers exactly that operand and its kind fits the instruction.
+fn patched_instruction(insts: &[(usize, Inst, usize)], r: &Reloc) -> Result<usize, &'static str> {
+    let i = insts.partition_point(|&(off, ..)| off <= r.patch_at);
+    let &(at, inst, _) = insts[..i].last().ok_or("precedes the code")?;
+    let field = inst.operand().ok_or("patches an instruction without an operand")?;
+    if r.patch_at - at != field.start || r.kind.width() != field.len() {
+        return Err("does not cover exactly one operand");
+    }
+    let fits = match r.kind {
+        RelocKind::FuncAbs(_)
+        | RelocKind::GlobalAbs(_)
+        | RelocKind::GotSlot(_)
+        | RelocKind::CodeAbs(_) => matches!(inst, Inst::MovImm { .. }),
+        RelocKind::CallRel(_) => matches!(inst, Inst::Call { .. } | Inst::Jmp { .. }),
+        RelocKind::JumpTable(_) => matches!(inst, Inst::JmpTable { .. }),
+    };
+    if fits {
+        Ok(at)
+    } else {
+        Err("patches an operand its kind does not fit")
+    }
+}
+
+/// Holds the `JmpTable` at `at`, whose operand carries `reloc`, to a
+/// recorded table of the function containing it, with that table's
+/// length.
+fn bound_table(
+    module: &Module,
+    reloc: Option<&RelocKind>,
+    at: usize,
+    len: u32,
+) -> Result<(), &'static str> {
+    let Some(RelocKind::JumpTable(i)) = reloc else {
+        return Err("its table field carries no jump-table relocation");
+    };
+    let table = module.aux.jump_tables.get(*i as usize).ok_or("its relocation names no table")?;
+    let owns = |f: &FunctionSym| f.size > 0 && at >= f.offset && at - f.offset < f.size;
+    if !module.functions.get(&table.function).is_some_and(owns) {
+        return Err("its table belongs to another function");
+    }
+    if len as usize != table.entries.len() {
+        return Err("its length differs from its table's entry count");
+    }
+    Ok(())
 }
 
 /// What a return-site record marks.
@@ -633,7 +735,8 @@ mod tests {
     /// The offsets of the `Jmp`s the loader does not aim (no `CallRel`
     /// relocation in their bytes): the module's own direct jumps.
     fn plain_jmps(m: &Module) -> Vec<usize> {
-        let relocated = |at: usize| m.relocs.iter().any(|r| r.patch_at == at + 1);
+        let rel = Inst::Jmp { rel: 0 }.operand().unwrap();
+        let relocated = |at: usize| m.relocs.iter().any(|r| r.patch_at == at + rel.start);
         let insts = mcfi_machine::decode_all(&m.code).unwrap();
         insts
             .into_iter()
@@ -690,6 +793,73 @@ mod tests {
         let r = verify(&m);
         assert!(has(&r, is_stray), "{:?}", r.violations);
         assert!(!has(&r, |v| matches!(v, Violation::JumpTableEscape { .. })));
+        assert!(refused_on_admission(&m));
+    }
+
+    /// A `CodeAbs` relocation over an indirect call's `TaryLoad`: the
+    /// loader would write eight bytes of the module's choosing over the
+    /// `TaryLoad` and the compare after the verifier read them. A second
+    /// copy of a legitimate relocation is caught as well.
+    #[test]
+    fn a_relocation_over_a_checks_tary_load_is_caught() {
+        let mut m = build("int apply(int (*f)(int), int x) { int r = f(x); return r; }");
+        assert!(verify(&m).ok() && !refused_on_admission(&m));
+        let call = |b: &&IndirectBranchInfo| matches!(b.kind, BranchKind::IndirectCall { .. });
+        let check = m.aux.indirect_branches.iter().find(call).unwrap().check_offset;
+        let tary = check + decode(&m.code, check).unwrap().1;
+        assert!(matches!(decode(&m.code, tary).unwrap().0, Inst::TaryLoad { .. }));
+        let kind = RelocKind::CodeAbs(0x2222_2222_2222_2222);
+        m.relocs.push(Reloc { patch_at: tary, kind });
+        let r = verify(&m);
+        let misplaced = |v: &Violation| matches!(v, Violation::MisplacedRelocation { .. });
+        assert!(has(&r, misplaced), "{:?}", r.violations);
+        assert!(refused_on_admission(&m));
+
+        let mut m = build(DEMO);
+        let first = m.relocs[0].clone();
+        m.relocs.push(first);
+        assert!(has(&verify(&m), misplaced));
+    }
+
+    const SWITCH6: &str = "int pick(int x) { switch (x) { case 0: return 10; case 1: return 11; \
+                           case 2: return 12; case 3: return 13; case 4: return 14; \
+                           case 5: return 15; default: return 0; } return 0; }";
+
+    /// The module's one `JmpTable`: its offset and instruction.
+    fn jump_table_jump(m: &Module) -> (usize, Inst) {
+        let insts = mcfi_machine::decode_all(&m.code[..m.aux.jump_tables[0].table_offset]).unwrap();
+        insts.into_iter().find(|(_, i)| matches!(i, Inst::JmpTable { .. })).unwrap()
+    }
+
+    /// A `JmpTable` stripped of its relocation and aimed at the guest's
+    /// writable heap with a 65,535-entry bound.
+    #[test]
+    fn a_jump_table_aimed_at_the_heap_is_caught() {
+        let mut m = build(SWITCH6);
+        assert!(verify(&m).ok() && !refused_on_admission(&m));
+        let (at, inst) = jump_table_jump(&m);
+        let Inst::JmpTable { index, len, .. } = inst else { unreachable!() };
+        assert_eq!(len, 6);
+        let field = at + inst.operand().unwrap().start;
+        m.relocs.retain(|r| r.patch_at != field);
+        let heap = Inst::JmpTable { index, table: 0x18_0000, len: 65_535 };
+        m.code[at..at + encode(&[heap]).len()].copy_from_slice(&encode(&[heap]));
+        let r = verify(&m);
+        assert!(has(&r, |v| matches!(v, Violation::UnboundJumpTable { .. })), "{:?}", r.violations);
+        assert!(refused_on_admission(&m));
+    }
+
+    /// A `JmpTable` that keeps its relocation but claims 255 entries: the
+    /// VM would read the code after the six-entry table as targets.
+    #[test]
+    fn a_jump_table_longer_than_its_table_is_caught() {
+        let mut m = build(SWITCH6);
+        let (at, inst) = jump_table_jump(&m);
+        let Inst::JmpTable { index, table, .. } = inst else { unreachable!() };
+        let long = Inst::JmpTable { index, table, len: 255 };
+        m.code[at..at + encode(&[long]).len()].copy_from_slice(&encode(&[long]));
+        let r = verify(&m);
+        assert!(has(&r, |v| matches!(v, Violation::UnboundJumpTable { .. })), "{:?}", r.violations);
         assert!(refused_on_admission(&m));
     }
 
