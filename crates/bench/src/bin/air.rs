@@ -6,41 +6,14 @@
 //! 99.16/99.25, MCFI 99.99/99.99. The reproducible claim is the ordering:
 //! MCFI produces the best AIR, coarse policies the worst (among CFI).
 
-use mcfi::{Arch, BuildOptions, Policy, System};
-use mcfi_baselines::{air, PolicyKind};
-use mcfi_workloads::{source, Variant, BENCHMARKS};
-
-fn airs_for(arch: Arch) -> Vec<(PolicyKind, f64)> {
-    let policies = [
-        PolicyKind::NoCfi,
-        PolicyKind::Chunk { size: 32 },
-        PolicyKind::Coarse,
-        PolicyKind::Classic,
-        PolicyKind::Mcfi,
-    ];
-    let mut sums = vec![0.0f64; policies.len()];
-    for b in BENCHMARKS {
-        let opts = BuildOptions { policy: Policy::Mcfi, arch, verify: false };
-        let src = source(b, Variant::Fixed);
-        let mut system =
-            System::boot_source(&src, &opts).unwrap_or_else(|e| panic!("{b}: {e}"));
-        let placed = system.process().placed_modules();
-        for (i, p) in policies.iter().enumerate() {
-            sums[i] += air(&placed, *p);
-        }
-    }
-    policies
-        .iter()
-        .zip(sums)
-        .map(|(p, s)| (*p, 100.0 * s / BENCHMARKS.len() as f64))
-        .collect()
-}
+use mcfi::Arch;
+use mcfi_bench::air_percents;
 
 fn main() {
     println!("§8.3 — Average Indirect-target Reduction (AIR), percent\n");
     for (arch, label) in [(Arch::X86_32, "x86-32"), (Arch::X86_64, "x86-64")] {
         println!("== {label} ==");
-        let rows = airs_for(arch);
+        let rows = air_percents(arch);
         for (p, v) in &rows {
             println!("{:>18} {v:>8.3}%", p.name());
         }

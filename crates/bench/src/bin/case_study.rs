@@ -8,12 +8,12 @@
 //! execve because their types do not match."
 
 use mcfi_baselines::PolicyKind;
-use mcfi_security::run_fptr_hijack;
+use mcfi_bench::case_study;
 
 fn main() {
     println!("§8.3 — function-pointer hijack to execve (CVE-2006-6235 analogue)\n");
-    for policy in [PolicyKind::Mcfi, PolicyKind::Classic, PolicyKind::Coarse] {
-        let r = run_fptr_hijack(policy);
+    let rows = case_study();
+    for (policy, r) in &rows {
         println!(
             "{:>14}: execve reached = {:<5}  blocked by CFI = {:<5}  ({:?})",
             policy.name(),
@@ -22,8 +22,8 @@ fn main() {
             r.outcome
         );
     }
-    let mcfi = run_fptr_hijack(PolicyKind::Mcfi);
-    let coarse = run_fptr_hijack(PolicyKind::Coarse);
+    let get = |k: PolicyKind| &rows.iter().find(|(p, _)| *p == k).expect("present").1;
+    let (mcfi, coarse) = (get(PolicyKind::Mcfi), get(PolicyKind::Coarse));
     assert!(mcfi.blocked && !mcfi.execve_reached);
     assert!(coarse.execve_reached);
     println!("\nMCFI blocks the hijack (type mismatch); coarse CFI lets it through.");

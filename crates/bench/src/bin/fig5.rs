@@ -13,9 +13,10 @@ fn main() {
         println!("== {label} ==");
         let rows = fig5_overheads(arch);
         for o in &rows {
-            println!("{:>12} {:>6.2}% {}", o.bench, o.percent, bar(o.percent, 4.0));
+            let percent = o.percent();
+            println!("{:>12} {percent:>6.2}% {}", o.bench, bar(percent, 4.0));
         }
-        let avg = average(rows.iter().map(|o| o.percent));
+        let avg = average(rows.iter().map(|o| o.percent()));
         println!("{:>12} {avg:>6.2}%  (paper: ~4-6%)\n", "average");
     }
 }

@@ -5,9 +5,7 @@
 //!
 //! Paper: 96.93% (x86-32) / 95.75% (x86-64) of gadgets eliminated.
 
-use mcfi::{Arch, BuildOptions, Policy};
-use mcfi_security::gadget_report;
-use mcfi_workloads::{source, Variant, BENCHMARKS};
+use mcfi_bench::gadget_reports;
 
 fn main() {
     println!("§8.3 — ROP gadget elimination under MCFI\n");
@@ -16,21 +14,7 @@ fn main() {
         "benchmark", "plain", "hardened", "surviving", "elim%"
     );
     let mut elims = Vec::new();
-    for b in BENCHMARKS {
-        let src = source(b, Variant::Fixed);
-        let plain = mcfi::compile_module(
-            b,
-            &src,
-            &BuildOptions { policy: Policy::NoCfi, arch: Arch::X86_64, verify: false },
-        )
-        .unwrap_or_else(|e| panic!("{b}: {e}"));
-        let hardened = mcfi::compile_module(
-            b,
-            &src,
-            &BuildOptions { policy: Policy::Mcfi, arch: Arch::X86_64, verify: false },
-        )
-        .unwrap_or_else(|e| panic!("{b}: {e}"));
-        let r = gadget_report(&plain, &hardened);
+    for (b, r) in gadget_reports() {
         println!(
             "{:>12} {:>8} {:>10} {:>10} {:>8.2}%",
             b, r.plain_unique, r.hardened_unique, r.surviving_unique, r.eliminated_percent

@@ -3,35 +3,15 @@
 //! table footprint (Bary+Tary ≈ the code-region size, but negligible
 //! against heap-dominated runtime memory).
 
-use mcfi::{Arch, BuildOptions, Policy};
-use mcfi_workloads::{source, Variant, BENCHMARKS};
+use mcfi_bench::code_sizes;
 
 fn main() {
     println!("§8.1 — space overhead\n");
     println!("{:>12} {:>10} {:>10} {:>8}", "benchmark", "plain B", "mcfi B", "increase");
     let mut incs = Vec::new();
-    for b in BENCHMARKS {
-        let src = source(b, Variant::Fixed);
-        let plain = mcfi::compile_module(
-            b,
-            &src,
-            &BuildOptions { policy: Policy::NoCfi, arch: Arch::X86_64, verify: false },
-        )
-        .unwrap_or_else(|e| panic!("{b}: {e}"));
-        let hardened = mcfi::compile_module(
-            b,
-            &src,
-            &BuildOptions { policy: Policy::Mcfi, arch: Arch::X86_64, verify: false },
-        )
-        .unwrap_or_else(|e| panic!("{b}: {e}"));
-        let inc = 100.0 * (hardened.code.len() as f64 / plain.code.len() as f64 - 1.0);
-        println!(
-            "{:>12} {:>10} {:>10} {:>7.2}%",
-            b,
-            plain.code.len(),
-            hardened.code.len(),
-            inc
-        );
+    for (b, plain, hardened) in code_sizes() {
+        let inc = 100.0 * (hardened as f64 / plain as f64 - 1.0);
+        println!("{b:>12} {plain:>10} {hardened:>10} {inc:>7.2}%");
         incs.push(inc);
     }
     let avg = incs.iter().sum::<f64>() / incs.len() as f64;

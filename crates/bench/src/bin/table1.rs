@@ -6,8 +6,7 @@
 //! The workloads are calibrated so the *shape* matches the paper:
 //! mcf/gobmk/sjeng/lbm report zero, perlbench and gcc dominate.
 
-use mcfi_analyzer::analyze;
-use mcfi_workloads::{source, Variant, BENCHMARKS};
+use mcfi_bench::analyses;
 
 fn main() {
     println!("Table 1 — C1 violations and false-positive elimination\n");
@@ -16,10 +15,7 @@ fn main() {
         "benchmark", "SLOC", "VBE", "UC", "DC", "MF", "SU", "NF", "VAE"
     );
     let mut totals = (0usize, 0usize);
-    for b in BENCHMARKS {
-        let src = source(b, Variant::Original);
-        let tp = mcfi_minic::parse_and_check(&src).unwrap_or_else(|e| panic!("{b}: {e}"));
-        let r = analyze(&tp, &src);
+    for (b, r) in analyses() {
         println!(
             "{:>12} {:>8} {:>5} {:>4} {:>4} {:>4} {:>4} {:>4} {:>5}",
             b, r.sloc, r.vbe, r.uc, r.dc, r.mf, r.su, r.nf, r.vae

@@ -3,16 +3,13 @@
 //! elimination, plus the `K1-fixed` row (cases that required a source
 //! change — the wrapper-function fix of §6).
 
-use mcfi_analyzer::analyze;
-use mcfi_workloads::{source, Variant, BENCHMARKS};
+use mcfi_bench::analyses;
+use mcfi_workloads::Variant;
 
 fn main() {
     println!("Table 2 — residual K1/K2 violation kinds\n");
     println!("{:>12} {:>4} {:>4} {:>9}", "benchmark", "K1", "K2", "K1-fixed");
-    for b in BENCHMARKS {
-        let src = source(b, Variant::Original);
-        let tp = mcfi_minic::parse_and_check(&src).unwrap_or_else(|e| panic!("{b}: {e}"));
-        let r = analyze(&tp, &src);
+    for (b, r) in analyses() {
         if r.vae == 0 {
             continue; // the clean benchmarks do not appear in Table 2
         }

@@ -6,16 +6,9 @@
 //! On x86-64 tail-call optimization replaces returns with jumps, which
 //! the paper observes yields *fewer* equivalence classes.
 
-use mcfi::{Arch, BuildOptions, Policy, System};
-use mcfi_workloads::{source, Variant, BENCHMARKS};
-
-fn stats_for(bench: &str, arch: Arch) -> mcfi::CfgStats {
-    let opts = BuildOptions { policy: Policy::Mcfi, arch, verify: false };
-    let src = source(bench, Variant::Fixed);
-    let mut system =
-        System::boot_source(&src, &opts).unwrap_or_else(|e| panic!("{bench}: {e}"));
-    system.process().current_policy().stats
-}
+use mcfi::Arch;
+use mcfi_bench::cfg_stats;
+use mcfi_workloads::BENCHMARKS;
 
 fn main() {
     println!("Table 3 — CFG statistics (statically linked with libms)\n");
@@ -28,8 +21,8 @@ fn main() {
         "benchmark", "IBs", "IBTs", "EQCs", "IBs", "IBTs", "EQCs"
     );
     for b in BENCHMARKS {
-        let s32 = stats_for(b, Arch::X86_32);
-        let s64 = stats_for(b, Arch::X86_64);
+        let s32 = cfg_stats(b, Arch::X86_32);
+        let s64 = cfg_stats(b, Arch::X86_64);
         println!(
             "{:>12} | {:>6} {:>6} {:>6} | {:>6} {:>6} {:>6}",
             b, s32.ibs, s32.ibts, s32.eqcs, s64.ibs, s64.ibts, s64.eqcs

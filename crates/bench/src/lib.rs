@@ -16,16 +16,23 @@
 //! | `gadgets`    | §8.3 — ROP gadget elimination |
 //! | `case_study` | §8.3 — the GnuPG/`execve` function-pointer hijack |
 //!
-//! The host-timed binaries (`stm_table` and the `*_ab` A/Bs) and the
-//! `cargo bench` mains measure through one core, [`timing`].
+//! The paper-artifact binaries compute their rows through the functions
+//! below, which `tests/paper_artifacts.rs` pins against a committed
+//! reference. The host-timed binaries (`stm_table` and the `*_ab` A/Bs)
+//! and the `cargo bench` mains measure through one core, [`timing`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod timing;
 
-use mcfi::{Arch, BuildOptions, Outcome, Policy, RunResult};
-use mcfi_workloads::Variant;
+use mcfi::{
+    Arch, BuildOptions, CfgStats, Module, Outcome, OverheadSample, Policy, PolicyKind, RunResult,
+    System,
+};
+use mcfi_analyzer::{analyze, AnalysisReport};
+use mcfi_security::{gadget_report, run_fptr_hijack, AttackResult, GadgetReport};
+use mcfi_workloads::{source, Variant, BENCHMARKS};
 
 /// The simulated clock frequency: "execution time" is cycles / CLOCK_HZ.
 ///
@@ -49,15 +56,100 @@ pub struct Overhead {
     pub percent: f64,
 }
 
-/// Measures Fig. 5 overhead for every benchmark on one architecture.
-pub fn fig5_overheads(arch: Arch) -> Vec<Overhead> {
-    mcfi_workloads::BENCHMARKS
+/// Tables 1 and 2: the C1/C2 analysis of each benchmark's original
+/// source, before the K1 fixes.
+pub fn analyses() -> Vec<(&'static str, AnalysisReport)> {
+    BENCHMARKS
         .iter()
-        .map(|b| {
-            let s = mcfi::measure_overhead(b, arch)
-                .unwrap_or_else(|e| panic!("{b}: {e}"));
-            Overhead { bench: (*b).to_string(), percent: s.percent() }
+        .map(|&b| {
+            let src = source(b, Variant::Original);
+            let tp = mcfi_minic::parse_and_check(&src).unwrap_or_else(|e| panic!("{b}: {e}"));
+            (b, analyze(&tp, &src))
         })
+        .collect()
+}
+
+/// Table 3: the CFG statistics of one benchmark statically linked with
+/// libms and booted under MCFI.
+pub fn cfg_stats(bench: &str, arch: Arch) -> CfgStats {
+    let opts = BuildOptions { policy: Policy::Mcfi, arch, verify: false };
+    let src = source(bench, Variant::Fixed);
+    let mut system = System::boot_source(&src, &opts).unwrap_or_else(|e| panic!("{bench}: {e}"));
+    system.process().current_policy().stats
+}
+
+/// The policies of §8.3's AIR table, from least to most precise.
+pub const AIR_POLICIES: [PolicyKind; 5] = [
+    PolicyKind::NoCfi,
+    PolicyKind::Chunk { size: 32 },
+    PolicyKind::Coarse,
+    PolicyKind::Classic,
+    PolicyKind::Mcfi,
+];
+
+/// §8.3's AIR table: each of [`AIR_POLICIES`] with its AIR in percent,
+/// averaged over the benchmarks.
+pub fn air_percents(arch: Arch) -> Vec<(PolicyKind, f64)> {
+    let mut sums = [0.0f64; AIR_POLICIES.len()];
+    for b in BENCHMARKS {
+        let opts = BuildOptions { policy: Policy::Mcfi, arch, verify: false };
+        let src = source(b, Variant::Fixed);
+        let mut system = System::boot_source(&src, &opts).unwrap_or_else(|e| panic!("{b}: {e}"));
+        let placed = system.process().placed_modules();
+        for (sum, p) in sums.iter_mut().zip(AIR_POLICIES) {
+            *sum += mcfi_baselines::air(&placed, p);
+        }
+    }
+    let n = BENCHMARKS.len() as f64;
+    AIR_POLICIES.into_iter().zip(sums).map(|(p, s)| (p, 100.0 * s / n)).collect()
+}
+
+/// A benchmark's fixed source compiled for x86-64 without and with MCFI.
+fn plain_and_hardened(bench: &str) -> (Module, Module) {
+    let src = source(bench, Variant::Fixed);
+    let build = |policy| {
+        let opts = BuildOptions { policy, arch: Arch::X86_64, verify: false };
+        mcfi::compile_module(bench, &src, &opts).unwrap_or_else(|e| panic!("{bench}: {e}"))
+    };
+    (build(Policy::NoCfi), build(Policy::Mcfi))
+}
+
+/// §8.3's ROP-gadget elimination for each benchmark.
+pub fn gadget_reports() -> Vec<(&'static str, GadgetReport)> {
+    BENCHMARKS
+        .iter()
+        .map(|&b| {
+            let (plain, hardened) = plain_and_hardened(b);
+            (b, gadget_report(&plain, &hardened))
+        })
+        .collect()
+}
+
+/// §8.1's static code sizes: each benchmark's plain and MCFI code bytes.
+pub fn code_sizes() -> Vec<(&'static str, usize, usize)> {
+    BENCHMARKS
+        .iter()
+        .map(|&b| {
+            let (plain, hardened) = plain_and_hardened(b);
+            (b, plain.code.len(), hardened.code.len())
+        })
+        .collect()
+}
+
+/// §8.3's case study: the function-pointer hijack run under MCFI,
+/// classic CFI and coarse CFI over the same binary.
+pub fn case_study() -> Vec<(PolicyKind, AttackResult)> {
+    [PolicyKind::Mcfi, PolicyKind::Classic, PolicyKind::Coarse]
+        .into_iter()
+        .map(|p| (p, run_fptr_hijack(p)))
+        .collect()
+}
+
+/// Measures Fig. 5 overhead for every benchmark on one architecture.
+pub fn fig5_overheads(arch: Arch) -> Vec<OverheadSample> {
+    BENCHMARKS
+        .iter()
+        .map(|b| mcfi::measure_overhead(b, arch).unwrap_or_else(|e| panic!("{b}: {e}")))
         .collect()
 }
 

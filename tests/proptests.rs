@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 
-use mcfi::{Arch, BuildOptions, Outcome, Policy, System};
+use mcfi::{Arch, BuildOptions, Outcome, Policy, PolicyKind, System};
 use mcfi_workloads::{generate, CastCounts, Spec, Variant};
 
 fn small_spec_strategy() -> impl Strategy<Value = Spec> {
@@ -66,7 +66,8 @@ proptest! {
         prop_assert!(report.ok(), "violations: {:?}", report.violations);
     }
 
-    /// CFG statistics are internally consistent for arbitrary modules:
+    /// CFG statistics are internally consistent for arbitrary modules,
+    /// under MCFI's policy and the classic and coarse baselines alike:
     /// every branch's ECN is coherent with the Tary map, and merged
     /// classes partition the target set.
     #[test]
@@ -74,17 +75,20 @@ proptest! {
         let src = generate(&spec, Variant::Fixed);
         let m = mcfi::compile_module("propwl", &src, &BuildOptions::default())
             .expect("compiles");
-        let p = mcfi_cfggen::generate_single(&m, 0);
-        // Every target of a branch carries the branch's own ECN.
-        for b in &p.bary {
-            for t in &b.targets {
-                prop_assert_eq!(p.tary.get(t).copied(), Some(b.ecn));
+        let placed = [mcfi_cfggen::Placed { module: &m, code_base: 0 }];
+        for kind in [PolicyKind::Mcfi, PolicyKind::Classic, PolicyKind::Coarse] {
+            let p = mcfi_baselines::generate_policy(&placed, kind);
+            // Every target of a branch carries the branch's own ECN.
+            for b in &p.bary {
+                for t in &b.targets {
+                    prop_assert_eq!(p.tary.get(t).copied(), Some(b.ecn), "{:?}", kind);
+                }
             }
+            // Class count never exceeds target count; stats agree with maps.
+            prop_assert_eq!(p.stats.ibts, p.tary.len());
+            prop_assert!(p.stats.eqcs <= p.stats.ibts.max(1));
+            prop_assert_eq!(p.stats.ibs, p.bary.len());
         }
-        // Class count never exceeds target count; stats agree with maps.
-        prop_assert_eq!(p.stats.ibts, p.tary.len());
-        prop_assert!(p.stats.eqcs <= p.stats.ibts.max(1));
-        prop_assert_eq!(p.stats.ibs, p.bary.len());
     }
 }
 
