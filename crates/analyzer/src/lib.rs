@@ -62,14 +62,6 @@ pub enum Classification {
     K2,
 }
 
-impl Classification {
-    /// Whether this classification is a false positive eliminated by the
-    /// analyzer (i.e. not counted in VAE).
-    pub fn is_false_positive(self) -> bool {
-        !matches!(self, Classification::K1 { .. } | Classification::K2)
-    }
-}
-
 impl fmt::Display for Classification {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

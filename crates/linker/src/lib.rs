@@ -24,8 +24,8 @@ use std::fmt;
 use mcfi_machine::check::{self, Transfer};
 use mcfi_machine::{encode_into, Inst, Reg};
 use mcfi_module::{
-    AuxInfo, BranchKind, CalleeKind, FunctionSym, GlobalSym, Import, IndirectBranchInfo,
-    Module, Reloc, RelocKind,
+    BranchKind, CalleeKind, FunctionSym, GlobalSym, Import, IndirectBranchInfo, Module, Reloc,
+    RelocKind,
 };
 
 /// A linking failure.
@@ -333,23 +333,6 @@ pub fn build_plt_stub(symbol: &str, got_slot_addr: u64) -> PltStub {
             kind: BranchKind::PltEntry { symbol: symbol.to_string() },
         },
     }
-}
-
-/// Returns the merged auxiliary information of `modules` without linking
-/// their code — used by the dynamic linker, which keeps modules separate
-/// in memory but needs the combined view for CFG generation.
-///
-/// # Errors
-///
-/// Fails on clashing type definitions.
-pub fn merge_aux(modules: &[&Module]) -> Result<AuxInfo, LinkError> {
-    let mut aux = AuxInfo::default();
-    for m in modules {
-        aux.env
-            .merge(&m.aux.env)
-            .map_err(|e| LinkError::TypeClash(e.to_string()))?;
-    }
-    Ok(aux)
 }
 
 /// Builds the map from `(module index, local slot)` to global Bary slot for

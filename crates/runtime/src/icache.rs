@@ -48,7 +48,6 @@
 //! [`Vm::step`]: crate::vm::Vm::step
 
 use mcfi_machine::{cost_of, decode, decode_sweep, DecodeError, Inst};
-use mcfi_tables::IdTables;
 
 use crate::mem::Sandbox;
 use crate::trans::{translate, Block};
@@ -265,13 +264,7 @@ impl PredecodeCache {
     /// (see [`crate::trans`]). `None` when `pc` lies outside every
     /// executable region or nothing there translates. The caller has
     /// already run [`PredecodeCache::validate`].
-    pub(crate) fn block(
-        &mut self,
-        mem: &Sandbox,
-        tables: &IdTables,
-        pc: u64,
-        stats: &mut VmStats,
-    ) -> Option<&Block> {
+    pub(crate) fn block(&mut self, mem: &Sandbox, pc: u64, stats: &mut VmStats) -> Option<&Block> {
         let idx = self.segment_index(pc)?;
         self.last_segment = idx;
         let seg = &mut self.segments[idx];
@@ -280,7 +273,7 @@ impl PredecodeCache {
         }
         let off = (pc - seg.start) as usize;
         if seg.blocks[off] == UNVISITED {
-            let translated = translate(seg, mem, tables, pc);
+            let translated = translate(seg, mem, pc);
             seg.blocks[off] = match translated {
                 Some(block) => {
                     stats.trans_translations += 1;

@@ -993,11 +993,6 @@ impl Process {
         None
     }
 
-    /// Libraries banned so far (process lifetime total).
-    pub fn quarantine_count(&self) -> u64 {
-        self.quarantines
-    }
-
     /// `dlopen`s refused without a load attempt (backoff or ban).
     pub fn quarantine_denials(&self) -> u64 {
         self.quarantine_denials

@@ -20,8 +20,8 @@
 //!   path, `BaryLoad` through `CallReg|JmpReg`, read by
 //!   [`mcfi_machine::check::recognize`]) and
 //!   specialized per indirect-branch site into a `TxCheckOp`: the
-//!   Bary slot, the success-path branch address, and the expected Bary
-//!   word are baked in. The fast path performs one atomic Bary read and
+//!   Bary slot, the registers and the success-path branch address are
+//!   baked in. The fast path performs one atomic Bary read and
 //!   one atomic Tary read against the *live* shared tables — exactly
 //!   the two loads the instrumented sequence performs — and on
 //!   `bary == tary` replays the architectural effects of all five-plus
@@ -75,8 +75,6 @@
 //! miss) executes one predecoded interpreter step, so the run loop
 //! always makes progress.
 
-use std::cell::Cell;
-
 use mcfi_machine::check::{self, Check, Transfer};
 use mcfi_machine::{Cond, Inst};
 use mcfi_tables::IdTables;
@@ -89,8 +87,8 @@ use crate::vm::{Event, Vm, VmError};
 const MAX_BLOCK_OPS: usize = 256;
 
 /// The Fig. 4 check transaction, specialized for one indirect-branch
-/// site: slot id, expected Bary word, and success-path branch target
-/// baked in at translation time.
+/// site: slot id, registers and success-path branch target baked in at
+/// translation time.
 struct TxCheckOp {
     /// The recognized fast path: slot, registers, the `BaryLoad`'s pc
     /// (where a miss resumes interpretation) and the branch's.
@@ -99,11 +97,6 @@ struct TxCheckOp {
     fast_steps: u64,
     /// Cycles the fast path replays (sum of the sequence's costs).
     fast_cycles: u64,
-    /// The Bary word observed at translation time. Self-healing: a
-    /// version re-stamp leaves it stale, and the next fast-path hit
-    /// (which compares *live* table words) rewrites it. Purely a
-    /// specialization record — correctness never reads it alone.
-    expected: Cell<u32>,
 }
 
 /// One translated operation.
@@ -192,7 +185,7 @@ pub(crate) fn dispatch(
 ) -> Result<Event, VmError> {
     cache.validate(mem, &mut vm.stats);
     let mut chained = false;
-    while let Some(block) = cache.block(mem, tables, vm.pc, &mut vm.stats) {
+    while let Some(block) = cache.block(mem, vm.pc, &mut vm.stats) {
         if vm.stats.steps.saturating_add(block.total_steps) > step_limit
             || vm.stats.cycles.saturating_add(block.total_cycles) > cycle_limit
         {
@@ -226,12 +219,7 @@ pub(crate) fn dispatch(
 /// bytes spilling past the segment (the predecode cache's spill rule,
 /// since the tail might be mutable data). `None` marks the pc
 /// untranslatable.
-pub(crate) fn translate(
-    seg: &mut Segment,
-    mem: &Sandbox,
-    tables: &IdTables,
-    entry: u64,
-) -> Option<Block> {
+pub(crate) fn translate(seg: &mut Segment, mem: &Sandbox, entry: u64) -> Option<Block> {
     let mut ops: Vec<Op> = Vec::new();
     let mut total_steps = 0u64;
     let mut total_cycles = 0u64;
@@ -241,7 +229,7 @@ pub(crate) fn translate(
         let fall = pc + len;
         let (kind, next) = match inst {
             Inst::BaryLoad { .. } => {
-                if let Some(chk) = match_check(seg, mem, tables, pc) {
+                if let Some(chk) = match_check(seg, mem, pc) {
                     total_steps += chk.fast_steps;
                     total_cycles += chk.fast_cycles;
                     ops.push(Op { pc, cost, kind: OpKind::Check(chk) });
@@ -292,12 +280,7 @@ pub(crate) fn translate(
 /// with the target read), and no slow-path requirement, since a miss
 /// runs the interpreter's. Returns `None` — the sequence translates as
 /// plain ops — on any mismatch.
-fn match_check(
-    seg: &mut Segment,
-    mem: &Sandbox,
-    tables: &IdTables,
-    check_pc: u64,
-) -> Option<TxCheckOp> {
+fn match_check(seg: &mut Segment, mem: &Sandbox, check_pc: u64) -> Option<TxCheckOp> {
     // Recognition fetches each fast-path instruction once, so a hit
     // replays exactly the charges fetched here.
     let (mut fast_steps, mut fast_cycles) = (0, 0);
@@ -309,12 +292,7 @@ fn match_check(
     };
     let chk = check::recognize(fetch, check_pc as usize).ok()?;
     let distinct = chk.bary != chk.tary && chk.bary != chk.target && chk.tary != chk.target;
-    distinct.then(|| TxCheckOp {
-        check: chk,
-        fast_steps,
-        fast_cycles,
-        expected: Cell::new(tables.bary_word(chk.slot as usize)),
-    })
+    distinct.then_some(TxCheckOp { check: chk, fast_steps, fast_cycles })
 }
 
 /// Executes `block` against the machine. Precondition (enforced by
@@ -417,10 +395,6 @@ fn run_check(
     if bary != tary {
         vm.pc = c.start as u64;
         return Ok(None);
-    }
-    // Heal the baked expectation after version re-stamps.
-    if chk.expected.get() != bary {
-        chk.expected.set(bary);
     }
     // Replay the sequence: BaryLoad, TaryLoad (checks += 1; equal words
     // mean equal versions, so no retry is counted), Cmp (equal ⇒ flags

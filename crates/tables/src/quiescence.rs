@@ -8,10 +8,14 @@
 //! thread invokes a system call), because a thread at a quiescent point
 //! cannot be in the middle of a check transaction.
 //!
-//! [`QuiescenceTracker`] implements that scheme: the runtime registers
-//! every executing thread, marks quiescent points at syscalls, and the
-//! dynamic linker consults [`QuiescenceTracker::all_quiescent_since`] to
-//! decide when [`mcfi_tables::IdTables::reset_update_count`] is safe.
+//! [`QuiescenceTracker`] implements the bookkeeping of that scheme: a
+//! caller registers every executing thread, marks its quiescent points,
+//! and consults [`QuiescenceTracker::all_quiescent_since`] to decide when
+//! [`mcfi_tables::IdTables::reset_update_count`] is safe. The runtime
+//! does not drive it yet: no runtime path registers threads, marks
+//! quiescent points or resets the count, so a process's update count
+//! only grows. Only the tests (`tests/concurrency.rs`) exercise the
+//! tracker and the reset.
 //!
 //! [`mcfi_tables::IdTables::reset_update_count`]: crate::IdTables::reset_update_count
 

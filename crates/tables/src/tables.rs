@@ -1143,11 +1143,14 @@ impl<S: SyncFacade> IdTablesAt<S> {
         SplitBump { tables: self, version, finished: false, _guard: guard }
     }
 
-    /// Number of update transactions since the last quiescent reset.
+    /// Number of update transactions since the tables were created or
+    /// last reset by [`IdTables::reset_update_count`].
     ///
     /// Security is violated only if 2^14 updates complete during a single
-    /// check transaction (§5.2); the runtime monitors this counter and
-    /// resets it at quiescent points via [`IdTables::reset_update_count`].
+    /// check transaction (§5.2), and the paper resets such a counter at
+    /// quiescent points. The runtime does not reset it: no runtime path
+    /// calls `reset_update_count`, so in a running process this is the
+    /// total number of update transactions.
     pub fn updates_since_reset(&self) -> u64 {
         self.core.update_count.load(Ordering::Relaxed)
     }
