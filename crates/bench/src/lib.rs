@@ -79,7 +79,7 @@ pub fn cfg_stats(bench: &str, arch: Arch) -> CfgStats {
 }
 
 /// The policies of §8.3's AIR table, from least to most precise.
-pub const AIR_POLICIES: [PolicyKind; 5] = [
+const AIR_POLICIES: [PolicyKind; 5] = [
     PolicyKind::NoCfi,
     PolicyKind::Chunk { size: 32 },
     PolicyKind::Coarse,
@@ -87,8 +87,9 @@ pub const AIR_POLICIES: [PolicyKind; 5] = [
     PolicyKind::Mcfi,
 ];
 
-/// §8.3's AIR table: each of [`AIR_POLICIES`] with its AIR in percent,
-/// averaged over the benchmarks.
+/// §8.3's AIR table: no CFI, chunk, coarse, classic and MCFI, from least
+/// to most precise, each with its AIR in percent averaged over the
+/// benchmarks.
 pub fn air_percents(arch: Arch) -> Vec<(PolicyKind, f64)> {
     let mut sums = [0.0f64; AIR_POLICIES.len()];
     for b in BENCHMARKS {
