@@ -6,8 +6,9 @@
 //!
 //! Each line of the reference is `<section> <row> <values>`, rendered
 //! from the same `mcfi_bench` functions the binaries print. On a
-//! mismatch the rendered lines are written to the cargo target's test
-//! scratch directory, where they can be compared with the reference.
+//! mismatch the rendered lines are written to cargo's temporary
+//! directory for integration tests (`target/tmp`), where they can be
+//! compared with the reference.
 
 use std::fmt::Write as _;
 
