@@ -402,21 +402,6 @@ impl UnionFind {
     }
 }
 
-/// Converts a policy into the `getTaryECN`/`getBaryECN` closures an
-/// update transaction takes (paper Fig. 3): the ECN of a sandbox-absolute
-/// code address, and the ECN of a global Bary slot. Every runtime policy
-/// install goes through this one adapter.
-pub fn policy_lookups(
-    policy: &ControlFlowPolicy,
-) -> (
-    impl Fn(u64) -> Option<u32> + '_,
-    impl Fn(usize) -> Option<u32> + '_,
-) {
-    let tary = move |addr: u64| policy.tary.get(&addr).copied();
-    let bary = move |slot: usize| policy.bary.get(slot).map(|b| b.ecn);
-    (tary, bary)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -629,20 +614,5 @@ mod tests {
         assert!(p.bary[0].targets.is_empty());
         // Its ECN is outside the target classes.
         assert!(p.tary.values().all(|e| *e != p.bary[0].ecn));
-    }
-
-    #[test]
-    fn policy_lookups_feed_update_transactions() {
-        let p = policy_of(
-            "int h(int x) { return x; }\n\
-             int main(void) { int a = h(1); return a; }",
-        );
-        let (tary, bary) = policy_lookups(&p);
-        for (addr, ecn) in &p.tary {
-            assert_eq!(tary(*addr), Some(*ecn));
-        }
-        assert_eq!(bary(0), Some(p.bary[0].ecn));
-        assert_eq!(bary(p.bary.len()), None);
-        assert_eq!(tary(0xdead_beef), None);
     }
 }

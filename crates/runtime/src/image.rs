@@ -17,11 +17,10 @@
 
 use std::sync::Arc;
 
-use mcfi_cfggen::policy_lookups;
 use mcfi_module::Module;
 use mcfi_tables::{SharedTables, TablesConfig, UpdateStats};
 
-use crate::process::{LoadError, Process, ProcessOptions};
+use crate::process::{install, LoadError, Process, ProcessOptions};
 
 /// An immutable module image plus its published base tables.
 ///
@@ -62,9 +61,7 @@ impl SharedImage {
             code_size: opts.layout.code_limit as usize,
             bary_slots: opts.bary_capacity,
         });
-        let policy = proto.current_policy();
-        let (tary, bary) = policy_lookups(&policy);
-        tables.base().update(tary, bary);
+        install(tables.base(), &proto.current_policy(), || {});
         Ok(SharedImage { modules, tables, opts })
     }
 

@@ -292,6 +292,40 @@ mod tests {
         assert!(r.updates >= 1, "dlopen must run an update transaction");
     }
 
+    /// Every Tary entry and Bary slot of `p`'s tables holds exactly what
+    /// `policy` gives it: its ECN, or no ID.
+    fn assert_tables_hold(p: &Process, policy: &mcfi_cfggen::ControlFlowPolicy) {
+        let t = p.tables();
+        let view = t.tary_view();
+        for addr in (0..t.tary_len() as u64 * 4).step_by(4) {
+            let ecn = view.id_at(addr).map(|id| id.ecn().raw());
+            assert_eq!(ecn, policy.tary.get(&addr).copied(), "Tary entry at {addr:#x}");
+        }
+        for slot in 0..t.bary_len() {
+            let ecn = mcfi_tables::Id::from_word(t.bary_word(slot)).map(|id| id.ecn().raw());
+            assert_eq!(ecn, policy.bary.get(slot).map(|b| b.ecn), "Bary slot {slot}");
+        }
+    }
+
+    #[test]
+    fn installs_write_exactly_the_policy() {
+        let mut p = boot(
+            "int twice(int x) { return 2 * x; }\n\
+             int main(void) { int (*f)(int) = twice; return f(21); }",
+        );
+        let policy = p.current_policy();
+        assert!(!policy.tary.is_empty() && !policy.bary.is_empty());
+        assert_tables_hold(&p, &policy);
+        // A policy with nothing in it clears every word the last one
+        // wrote; reinstalling the generated one brings them all back.
+        let empty = mcfi_cfggen::ControlFlowPolicy::from_branches(Vec::new());
+        p.install_custom_policy(&empty);
+        assert_tables_hold(&p, &empty);
+        p.install_custom_policy(&policy);
+        assert_tables_hold(&p, &policy);
+        assert_eq!(p.run("__start").unwrap().outcome, Outcome::Exit { code: 42 });
+    }
+
     #[test]
     fn dlopen_of_missing_library_fails_cleanly() {
         let src = "int dlopen(char* name);\n\

@@ -9,7 +9,7 @@
 use core::cell::Cell;
 use core::fmt;
 use core::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Bytes per snapshot page: the unit a dirty bit covers and
 /// [`Sandbox::snapshot`] compares, copies, hashes and shares.
@@ -122,15 +122,34 @@ pub struct Sandbox {
     window: Range<u64>,
 }
 
+/// The images of dropped sandboxes, every byte zero, for
+/// [`Sandbox::new`] to reuse. A reused image has been zeroed only where
+/// its last owner wrote, so a new sandbox touches only the pages it uses,
+/// where a fresh zeroed allocation of a size the allocator recycles would
+/// be zeroed whole.
+static IMAGES: Mutex<Vec<Vec<u8>>> = Mutex::new(Vec::new());
+
+/// The image pool, also after a panic elsewhere while it was held: every
+/// image is zeroed before it goes in, so the pool is always valid.
+fn images() -> MutexGuard<'static, Vec<Vec<u8>>> {
+    IMAGES.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 impl Sandbox {
-    /// Creates a sandbox backed by `size` bytes (all initially unmapped).
+    /// Creates a sandbox backed by `size` bytes (all initially unmapped
+    /// and zero), on a dropped sandbox's image of that size if there is
+    /// one.
     pub fn new(size: usize) -> Self {
         let mut base = vec![Page::Zero { len: PAGE_SIZE }; size / PAGE_SIZE];
         if !size.is_multiple_of(PAGE_SIZE) {
             base.push(Page::Zero { len: size % PAGE_SIZE });
         }
+        let reused = {
+            let mut pool = images();
+            pool.iter().position(|image| image.len() == size).map(|i| pool.swap_remove(i))
+        };
         Sandbox {
-            bytes: vec![0; size],
+            bytes: reused.unwrap_or_else(|| vec![0; size]),
             regions: Vec::new(),
             generation: 0,
             data_hint: Cell::new(usize::MAX),
@@ -424,6 +443,22 @@ impl Sandbox {
     /// Raw read-only view.
     pub fn raw(&self) -> &[u8] {
         &self.bytes
+    }
+}
+
+impl Drop for Sandbox {
+    /// Zeroes every page that may hold a nonzero byte — a dirty page, or
+    /// a clean one whose base page holds copied bytes (a clean page
+    /// equals its base page, and a zero base page is zeros) — and hands
+    /// the image to the pool for the next [`Sandbox::new`] of its size.
+    fn drop(&mut self) {
+        for (p, (live, page)) in self.bytes.chunks_mut(PAGE_SIZE).zip(&self.base).enumerate() {
+            let dirty = self.dirty[p / 64] >> (p % 64) & 1 == 1;
+            if dirty || matches!(page, Page::Copied { .. }) {
+                live.fill(0);
+            }
+        }
+        images().push(std::mem::take(&mut self.bytes));
     }
 }
 
@@ -784,22 +819,28 @@ mod tests {
     }
 
     /// Not a whole number of pages, so the short last page is exercised.
+    /// No other test makes a sandbox of this size, so the image pool
+    /// holds at most the one this test dropped last.
     const MODEL_SIZE: u64 = 3 * PAGE_SIZE as u64 + 0x100;
+
+    /// A sandbox of the model's size with one writable region across the
+    /// first page boundary, so most writes land, and its model.
+    fn fresh_model() -> (Sandbox, Model) {
+        let mut m = Sandbox::new(MODEL_SIZE as usize);
+        m.map(0x800, 0x1800, Perm::Rw).unwrap();
+        let region = Region { start: 0x800, end: 0x2000, perm: Perm::Rw };
+        (m, Model { bytes: vec![0; MODEL_SIZE as usize], regions: vec![region] })
+    }
 
     proptest! {
         #[test]
         fn snapshots_restore_a_flat_model(
             ops in proptest::collection::vec(
-                (0u8..10, 0..MODEL_SIZE, 0u64..0x2000, any::<u64>()),
+                (0u8..11, 0..MODEL_SIZE, 0u64..0x2000, any::<u64>()),
                 1..80,
             )
         ) {
-            let mut m = Sandbox::new(MODEL_SIZE as usize);
-            let mut model = Model { bytes: vec![0; MODEL_SIZE as usize], regions: Vec::new() };
-            // One writable region across the first page boundary, so
-            // most writes land.
-            m.map(0x800, 0x1800, Perm::Rw).unwrap();
-            model.regions.push(Region { start: 0x800, end: 0x2000, perm: Perm::Rw });
+            let (mut m, mut model) = fresh_model();
             let mut snaps: Vec<(SandboxSnapshot, Model)> = Vec::new();
             let mut generation = m.generation();
             for (op, a, b, v) in ops {
@@ -871,6 +912,18 @@ mod tests {
                         prop_assert_eq!(snap.capture_digest(), snap.digest());
                         prop_assert_eq!(snap.digest(), model.digest());
                         snaps.push((snap, model.clone()));
+                    }
+                    10 => {
+                        // The sandbox is dropped and its successor takes
+                        // the image from the pool: all zeros, whatever
+                        // was written, restored or snapshotted before.
+                        // The snapshots taken so far restore into it.
+                        let image = m.raw().as_ptr();
+                        drop(m);
+                        (m, model) = fresh_model();
+                        prop_assert_eq!(m.raw().as_ptr(), image, "the image came from the pool");
+                        prop_assert!(m.raw() == &model.bytes[..], "a pooled image is zeroed");
+                        generation = m.generation();
                     }
                     _ => {
                         if snaps.is_empty() {

@@ -13,7 +13,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use mcfi_cfggen::{generate, policy_lookups, ControlFlowPolicy, Placed};
+use mcfi_cfggen::{generate, ControlFlowPolicy, Placed};
 use mcfi_chaos::{Backoff, ChaosInjector, FaultPlan, FaultPoint};
 use serde::Serialize;
 use mcfi_machine::{check, DecodeError};
@@ -21,8 +21,8 @@ use mcfi_minic::types::TypeEnv;
 use mcfi_linker::build_plt_stub;
 use mcfi_module::{AdmissionError, DecodeLimits, Module, RelocKind};
 use mcfi_tables::{
-    CheckError, IdTables, LeaseConfig, RetryConfig, TablesConfig, TxCounters, ViolationKind,
-    WatchdogVerdict,
+    CheckError, IdTables, LeaseConfig, RetryConfig, TablesConfig, TxCounters, UpdateStats,
+    ViolationKind, WatchdogVerdict,
 };
 
 use crate::icache::PredecodeCache;
@@ -30,6 +30,21 @@ use crate::mem::{MemFault, Perm, Sandbox, SandboxSnapshot};
 use crate::synth::Sys;
 use crate::trans;
 use crate::vm::{Event, Vm, VmError, VmState};
+
+/// Installs `policy` into `tables` with one sorted update transaction
+/// ([`IdTables::update_sorted`]: the policy's targets in ascending
+/// address order, and one ECN per Bary slot), running `between` between
+/// its Tary and Bary phases. Every runtime policy install goes through
+/// here.
+pub(crate) fn install(
+    tables: &IdTables,
+    policy: &ControlFlowPolicy,
+    between: impl FnOnce(),
+) -> UpdateStats {
+    let tary: Vec<(u64, u32)> = policy.tary.iter().map(|(&addr, &ecn)| (addr, ecn)).collect();
+    let bary: Vec<u32> = policy.bary.iter().map(|b| b.ecn).collect();
+    tables.update_sorted(&tary, &bary, between)
+}
 
 /// Address-space layout of a process.
 #[derive(Clone, Copy, Debug)]
@@ -1155,8 +1170,7 @@ impl Process {
     /// a fresh update transaction — used to run the same binary under
     /// classic or coarse CFI for the §8.3 comparisons.
     pub fn install_custom_policy(&mut self, policy: &ControlFlowPolicy) {
-        let (tary, bary) = policy_lookups(policy);
-        self.tables.update(tary, bary);
+        install(&self.tables, policy, || {});
         self.updates += 1;
     }
 
@@ -1513,9 +1527,8 @@ impl Process {
             }
         }
 
-        let (tary, bary) = policy_lookups(&policy);
         let mem = &mut self.mem;
-        self.tables.update_with(tary, bary, || {
+        install(&self.tables, &policy, || {
             for (slot, addr) in &got_writes {
                 // Infallible by construction: `validate_layout` pins the
                 // GOT area inside the mapped data region and `got_slot`

@@ -118,6 +118,18 @@ pub trait SyncFacade: 'static + fmt::Debug {
     /// the model-checked family — spin *iterations* carry no protocol
     /// state, only the atomic re-reads around them do.
     fn spin_hint();
+
+    /// Allocates `len` table words, every one 0. By default a plain
+    /// allocation; [`StdSync`] reuses the words of dropped tables.
+    fn alloc_words(len: usize) -> Vec<Self::AtomicU32> {
+        (0..len).map(|_| <Self::AtomicU32 as AtomicU32Ops>::new(0)).collect()
+    }
+
+    /// Takes back the words of a dropped table, of which only
+    /// `words[..written]` may be nonzero. By default they are freed.
+    fn free_words(words: Vec<Self::AtomicU32>, written: usize) {
+        let _ = (words, written);
+    }
 }
 
 /// The guard type of facade `S`'s mutex over `T`.
@@ -224,6 +236,19 @@ impl<T: Send + fmt::Debug> MutexOps<T> for parking_lot::Mutex<T> {
     }
 }
 
+/// The words of dropped production tables, each array zeroed, for
+/// [`StdSync::alloc_words`] to hand out again. A fresh array is written
+/// whole when it is built, so reusing one makes a new table cost the
+/// pages its policies wrote, not the whole reservation again.
+static FREE_WORDS: std::sync::Mutex<Vec<Vec<std::sync::atomic::AtomicU32>>> =
+    std::sync::Mutex::new(Vec::new());
+
+/// The free-word pool, also after a panic elsewhere while it was held:
+/// every array in it is zeroed before it goes in, so it is always valid.
+fn word_pool() -> std::sync::MutexGuard<'static, Vec<Vec<std::sync::atomic::AtomicU32>>> {
+    FREE_WORDS.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 impl SyncFacade for StdSync {
     type AtomicU32 = std::sync::atomic::AtomicU32;
     type AtomicU64 = std::sync::atomic::AtomicU64;
@@ -238,6 +263,23 @@ impl SyncFacade for StdSync {
     #[inline]
     fn spin_hint() {
         std::hint::spin_loop();
+    }
+
+    fn alloc_words(len: usize) -> Vec<Self::AtomicU32> {
+        let reused = {
+            let mut pool = word_pool();
+            pool.iter().position(|w| w.len() == len).map(|i| pool.swap_remove(i))
+        };
+        reused.unwrap_or_else(|| (0..len).map(|_| Self::AtomicU32::new(0)).collect())
+    }
+
+    fn free_words(words: Vec<Self::AtomicU32>, written: usize) {
+        // The pool's mutex publishes the zeros to whichever thread takes
+        // the array next.
+        for word in &words[..written] {
+            word.store(0, Ordering::Relaxed);
+        }
+        word_pool().push(words);
     }
 }
 

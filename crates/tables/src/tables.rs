@@ -1,6 +1,6 @@
 //! The Bary/Tary ID tables and the two table transactions (paper §5).
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 
 use mcfi_chaos::{ChaosInjector, FaultPoint};
@@ -134,6 +134,13 @@ pub enum WatchdogVerdict {
 pub struct IdTablesAt<S: SyncFacade = StdSync> {
     tary: Vec<S::AtomicU32>,
     bary: Vec<S::AtomicU32>,
+    /// The high-water marks, Tary then Bary: one past the last word of
+    /// each table that may be nonzero, so every word from the mark on is
+    /// 0. Transactions scan a table only up to its mark (and an install
+    /// also up to its new policy's end). Written only under the update
+    /// lock, or before the shard is registered; bookkeeping that no check
+    /// reads, so plain `std` atomics, never schedule points.
+    marks: [AtomicUsize; 2],
     /// The transaction-protocol head (version, update lock, lease,
     /// publication epoch, shard registry). Private tables own their core
     /// exclusively; every shard of a shared image — the base and all
@@ -278,6 +285,14 @@ enum Side {
 }
 
 impl Side {
+    /// The side's index into a shard's marks.
+    fn index(self) -> usize {
+        match self {
+            Side::Tary => 0,
+            Side::Bary => 1,
+        }
+    }
+
     fn order(self) -> Ordering {
         match self {
             Side::Tary => Ordering::Relaxed,
@@ -318,12 +333,10 @@ impl<S: SyncFacade> IdTablesAt<S> {
         core: Arc<ProtocolCore<S>>,
         base: Option<Arc<IdTablesAt<S>>>,
     ) -> Self {
-        let entries = config.code_size.div_ceil(4);
         IdTablesAt {
-            tary: (0..entries).map(|_| <S::AtomicU32 as AtomicU32Ops>::new(0)).collect(),
-            bary: (0..config.bary_slots)
-                .map(|_| <S::AtomicU32 as AtomicU32Ops>::new(0))
-                .collect(),
+            tary: S::alloc_words(config.code_size.div_ceil(4)),
+            bary: S::alloc_words(config.bary_slots),
+            marks: [AtomicUsize::new(0), AtomicUsize::new(0)],
             core,
             base,
             retries: AtomicU64::new(0),
@@ -460,20 +473,45 @@ impl<S: SyncFacade> IdTablesAt<S> {
         self.words(side).get(i).map_or(0, |slot| slot.load(Ordering::Relaxed))
     }
 
+    /// This shard's `side` mark: every word from it on is 0.
+    fn mark(&self, side: Side) -> usize {
+        self.marks[side.index()].load(Ordering::Relaxed)
+    }
+
+    fn set_mark(&self, side: Side, mark: usize) {
+        self.marks[side.index()].store(mark, Ordering::Relaxed);
+    }
+
+    /// The words of this shard's `side` table that may be nonzero: the
+    /// part re-stamps and repairs scan.
+    fn marked(&self, side: Side) -> &[S::AtomicU32] {
+        &self.words(side)[..self.mark(side)]
+    }
+
     /// The install loop of one phase: writes this shard's new `side`
-    /// policy, `ecn_of(i)` being entry `i`'s ECN or `None`. A private
-    /// table (or the image base) stores the encoded IDs directly; a delta
-    /// shard diffs against the base — equal words compress to 0 (fall
-    /// through), revoked base targets get the [`TOMBSTONE`]. Returns the
-    /// policy's entry count.
+    /// policy, `ecn_of(i)` being entry `i`'s ECN or `None`, asked once
+    /// per entry in index order. The policy has no entry from `extent`
+    /// on, so the loop stops at the larger of `extent` and the words that
+    /// may be nonzero — this shard's mark and, for a delta, the base's —
+    /// and every word past it is 0 before and after. A private table (or
+    /// the image base) stores the encoded IDs directly; a delta shard
+    /// diffs against the base — equal words compress to 0 (fall
+    /// through), revoked base targets get the [`TOMBSTONE`]. Sets the
+    /// mark and returns the policy's entry count.
     fn install(
         &self,
         side: Side,
-        ecn_of: impl Fn(usize) -> Option<u32>,
+        extent: usize,
+        mut ecn_of: impl FnMut(usize) -> Option<u32>,
         version: Version,
     ) -> usize {
-        let mut installed = 0;
-        for (i, slot) in self.words(side).iter().enumerate() {
+        let words = self.words(side);
+        let base_mark = self.base.as_ref().map_or(0, |b| b.mark(side));
+        let end = extent.max(self.mark(side)).max(base_mark).min(words.len());
+        // Until the loop ends, any word below `end` may be nonzero.
+        self.set_mark(side, end);
+        let (mut installed, mut mark) = (0, 0);
+        for (i, slot) in words[..end].iter().enumerate() {
             let word = match ecn_of(i) {
                 Some(ecn) => {
                     installed += 1;
@@ -488,32 +526,37 @@ impl<S: SyncFacade> IdTablesAt<S> {
                     _ => 0,
                 },
             };
+            if word != 0 {
+                mark = i + 1;
+            }
             slot.store(word, side.order());
         }
+        self.set_mark(side, mark);
         installed
     }
 
-    /// Re-stamps every word of this shard's `side` table (see
-    /// [`Side::restamp`]); returns how many IDs it wrote.
+    /// Re-stamps the words of this shard's `side` table below its mark
+    /// (see [`Side::restamp`]); returns how many IDs it wrote.
     fn restamp(&self, side: Side, version: Version, stale_only: bool) -> usize {
-        self.words(side).iter().filter(|slot| side.restamp(*slot, version, stale_only)).count()
+        self.marked(side).iter().filter(|slot| side.restamp(*slot, version, stale_only)).count()
     }
 
     /// One phase of a CFG-changing transaction: this shard installs its
-    /// new `side` policy and every sibling shard is re-stamped in place,
-    /// so one version bump retargets a whole shared image. Returns the
-    /// policy's entry count.
+    /// new `side` policy (see [`IdTablesAt::install`]) and every sibling
+    /// shard is re-stamped in place, so one version bump retargets a
+    /// whole shared image. Returns the policy's entry count.
     fn install_phase(
         &self,
         shards: &TxShards<'_, S>,
         side: Side,
-        ecn_of: impl Fn(usize) -> Option<u32>,
+        extent: usize,
+        mut ecn_of: impl FnMut(usize) -> Option<u32>,
         version: Version,
     ) -> usize {
         let mut installed = 0;
         for shard in shards.list() {
             if std::ptr::eq(shard, self) {
-                installed = self.install(side, &ecn_of, version);
+                installed = self.install(side, extent, &mut ecn_of, version);
             } else {
                 shard.restamp(side, version, false);
             }
@@ -557,11 +600,12 @@ impl<S: SyncFacade> IdTablesAt<S> {
             Some(Arc::clone(self)),
         ));
         for side in [Side::Tary, Side::Bary] {
-            for (i, slot) in delta.words(side).iter().enumerate() {
+            for (i, slot) in delta.words(side)[..self.mark(side)].iter().enumerate() {
                 if let Some(id) = Id::from_word(self.raw_word(side, i)) {
                     slot.store(Id::encode(id.ecn(), stale).word(), side.order());
                 }
             }
+            delta.set_mark(side, self.mark(side));
         }
         delta.register_shard();
         delta
@@ -996,6 +1040,10 @@ impl<S: SyncFacade> IdTablesAt<S> {
     /// copy), issues a memory barrier, and only then rewrites the Bary
     /// table — so a concurrent check observes either the old version in
     /// both tables or the new version in both, never a mix that validates.
+    ///
+    /// This closure-based form asks about every entry of both tables: it
+    /// is the full-scan reference for [`IdTablesAt::update_sorted`], which
+    /// the runtime's policy installs use.
     pub fn update(
         &self,
         tary_ecn: impl Fn(u64) -> Option<u32>,
@@ -1015,6 +1063,52 @@ impl<S: SyncFacade> IdTablesAt<S> {
         bary_ecn: impl Fn(usize) -> Option<u32>,
         between: impl FnOnce(),
     ) -> UpdateStats {
+        self.update_tx(
+            (self.tary.len(), |i| tary_ecn(i as u64 * 4)),
+            (self.bary.len(), bary_ecn),
+            between,
+        )
+    }
+
+    /// The `TxUpdate` transaction of [`IdTablesAt::update_with`] over a
+    /// policy given as sorted entries: `tary` holds each target's code
+    /// address and ECN in ascending address order, and `bary[s]` is the
+    /// ECN of Bary slot `s` (slots past its end get none). It leaves the
+    /// same words and returns the same statistics as `update_with` with
+    /// the matching lookups, but walks `tary` with a cursor, and scans
+    /// each table only up to the larger of the new policy's end and the
+    /// words that may still hold an old entry (the shard's high-water
+    /// mark, and for a delta the base's); sibling shards are re-stamped
+    /// up to their own marks. So the transaction costs the loaded code,
+    /// not the reserved region.
+    pub fn update_sorted(
+        &self,
+        tary: &[(u64, u32)],
+        bary: &[u32],
+        between: impl FnOnce(),
+    ) -> UpdateStats {
+        debug_assert!(tary.is_sorted_by_key(|&(addr, _)| addr), "tary entries ascend");
+        let extent = tary.last().map_or(0, |&(addr, _)| (addr / 4) as usize + 1);
+        let mut cursor = tary.iter().peekable();
+        let tary_ecn = move |i: usize| {
+            let addr = i as u64 * 4;
+            // Entries the aligned scan never asks about (unaligned ones)
+            // are passed over, as the full scan never sees them.
+            while cursor.next_if(|&&(a, _)| a < addr).is_some() {}
+            cursor.next_if(|&&(a, _)| a == addr).map(|&(_, ecn)| ecn)
+        };
+        self.update_tx((extent, tary_ecn), (bary.len(), |s| bary.get(s).copied()), between)
+    }
+
+    /// The body every CFG-changing update shares: each side is the new
+    /// policy's extent (no entry from it on) and the ECN of each entry
+    /// index, asked in index order.
+    fn update_tx(
+        &self,
+        (tary_extent, tary_ecn): (usize, impl FnMut(usize) -> Option<u32>),
+        (bary_extent, bary_ecn): (usize, impl FnMut(usize) -> Option<u32>),
+        between: impl FnOnce(),
+    ) -> UpdateStats {
         let (_guard, version) = self.begin_tx(None);
         let shards = self.tx_shards();
 
@@ -1028,7 +1122,7 @@ impl<S: SyncFacade> IdTablesAt<S> {
         // base is always first in the shard list, so a delta's diff
         // compares against already-restamped base words.
         let tary_targets =
-            self.install_phase(&shards, Side::Tary, |i| tary_ecn(i as u64 * 4), version);
+            self.install_phase(&shards, Side::Tary, tary_extent, tary_ecn, version);
 
         // The memory write barrier separating the two phases (Fig. 3 line
         // 5): all Tary writes become visible before any Bary write.
@@ -1041,7 +1135,8 @@ impl<S: SyncFacade> IdTablesAt<S> {
         self.chaos_stall();
 
         // Phase 2: rewrite the Bary table.
-        let bary_branches = self.install_phase(&shards, Side::Bary, bary_ecn, version);
+        let bary_branches =
+            self.install_phase(&shards, Side::Bary, bary_extent, bary_ecn, version);
         self.commit_tx(version, tary_targets, bary_branches)
     }
 
@@ -1074,13 +1169,14 @@ impl<S: SyncFacade> IdTablesAt<S> {
         let torn_after = self.chaos_fire(FaultPoint::TornTary);
         let shards = self.tx_shards();
         let mut tary_targets = 0;
-        // `flat` indexes the concatenated Tary stream across shards, so a
-        // `torn-tary` fault parameter addresses a tear point anywhere in
-        // a shared image's sweep (and degenerates to the plain entry
-        // index for a private table).
+        // `flat` indexes the concatenated Tary stream across shards (each
+        // scanned from entry 0 up to its mark), so a `torn-tary` fault
+        // parameter addresses a tear point anywhere in a shared image's
+        // sweep (and degenerates to the plain entry index for a private
+        // table).
         let mut flat: u64 = 0;
         for shard in shards.list() {
-            for (i, slot) in shard.tary.iter().enumerate() {
+            for (i, slot) in shard.marked(Side::Tary).iter().enumerate() {
                 if torn_after == Some(flat) {
                     // The Tary stream tears here: entries before `flat`
                     // carry the new version, the rest (and all of Bary)
@@ -1222,9 +1318,10 @@ impl<S: SyncFacade> IdTablesAt<S> {
         let _guard = self.core.update_lock.lock();
         // BUG: no version bump.
         let version = self.current_version();
-        let tary_targets = self.install(Side::Tary, |i| tary_ecn(i as u64 * 4), version);
+        let tary_targets =
+            self.install(Side::Tary, self.tary.len(), |i| tary_ecn(i as u64 * 4), version);
         S::fence(Ordering::SeqCst);
-        let bary_branches = self.install(Side::Bary, bary_ecn, version);
+        let bary_branches = self.install(Side::Bary, self.bary.len(), bary_ecn, version);
         self.commit_tx(version, tary_targets, bary_branches)
     }
 
@@ -1249,6 +1346,21 @@ impl<S: SyncFacade> IdTablesAt<S> {
         S::fence(Ordering::SeqCst);
         let bary_branches = self.restamp(Side::Bary, version, false);
         self.commit_tx(version, tary_targets, bary_branches)
+    }
+}
+
+impl<S: SyncFacade> Drop for IdTablesAt<S> {
+    /// Hands both tables' words back to the facade, which may reuse them
+    /// for a later table: only the words below each mark can be nonzero.
+    fn drop(&mut self) {
+        for side in [Side::Tary, Side::Bary] {
+            let mark = self.mark(side);
+            let words = match side {
+                Side::Tary => &mut self.tary,
+                Side::Bary => &mut self.bary,
+            };
+            S::free_words(std::mem::take(words), mark);
+        }
     }
 }
 
@@ -2094,6 +2206,96 @@ mod tests {
         Ok(())
     }
 
+    const SORTED_TABLES: TablesConfig = TablesConfig { code_size: 256, bary_slots: 8 };
+
+    /// A random policy in the sorted form: sparse Tary entries over a
+    /// random prefix of the table, and an ECN for each of a random number
+    /// of Bary slots — as the runtime gives one to every allocated slot.
+    fn sorted_policy(rng: &mut u64) -> (Vec<(u64, u32)>, Vec<u32>) {
+        let entries = SORTED_TABLES.code_size / 4;
+        let extent = (*rng >> 20) as usize % (entries + 1);
+        let sparsity = 1 + (*rng >> 40) as u32 % 3;
+        let tary = sparse_policy(rng, extent, sparsity)
+            .into_iter()
+            .enumerate()
+            .filter_map(|(i, ecn)| Some((4 * i as u64, ecn?)))
+            .collect();
+        let slots = (*rng >> 24) as usize % (SORTED_TABLES.bary_slots + 1);
+        let bary = sparse_policy(rng, slots, 0).into_iter().flatten().collect();
+        (tary, bary)
+    }
+
+    /// Every word from each table's mark on is 0.
+    fn marks_hold(t: &IdTables) -> Result<(), TestCaseError> {
+        for side in [Side::Tary, Side::Bary] {
+            let past = &t.words(side)[t.mark(side)..];
+            prop_assert!(past.iter().all(|w| w.load(Ordering::Relaxed) == 0), "a word past the mark");
+        }
+        Ok(())
+    }
+
+    /// Runs `ops` on two copies of one set-up — a private table, or a
+    /// shared image with two deltas — installing each policy through the
+    /// full-scan `update` on the first and `update_sorted` on the second.
+    /// After every step both must hold the same words and report the same
+    /// statistics, the marks must bound the nonzero words, and every Bary
+    /// slot the policy covers must hold a valid ID.
+    fn run_sorted_against_full_scan(shared: bool, ops: &[(u8, u64)]) -> Result<(), TestCaseError> {
+        let set_up = || match shared {
+            true => {
+                let img = crate::SharedTables::new(SORTED_TABLES);
+                let shards = vec![Arc::clone(img.base()), img.attach(), img.attach()];
+                (Some(img), shards)
+            }
+            false => (None, vec![Arc::new(IdTables::new(SORTED_TABLES))]),
+        };
+        let (full_img, mut full) = set_up();
+        let (sorted_img, mut sorted) = set_up();
+        for &(op, seed) in ops {
+            let k = seed as usize % full.len();
+            match op {
+                0..=3 => {
+                    let mut rng = seed | 1;
+                    let (tary, bary) = sorted_policy(&mut rng);
+                    let lookup: std::collections::BTreeMap<u64, u32> = tary.iter().copied().collect();
+                    let want = full[k].update(|a| lookup.get(&a).copied(), |s| bary.get(s).copied());
+                    let got = sorted[k].update_sorted(&tary, &bary, || {});
+                    prop_assert_eq!(got, want);
+                    for slot in 0..bary.len() {
+                        prop_assert!(Id::from_word(sorted[k].bary_word(slot)).is_some(), "slot {}", slot);
+                    }
+                }
+                4 => prop_assert_eq!(sorted[k].bump_version(), full[k].bump_version()),
+                5 => {
+                    drop(full[k].bump_version_split());
+                    drop(sorted[k].bump_version_split());
+                    prop_assert_eq!(sorted[k].repair_abandoned(), full[k].repair_abandoned());
+                }
+                _ => {
+                    // A delta detaches and a fresh one, maybe on reused
+                    // words, attaches in its place.
+                    if let (Some(fi), Some(si), true) = (&full_img, &sorted_img, k > 0) {
+                        full[k] = fi.attach();
+                        sorted[k] = si.attach();
+                        let zero = |w: &AtomicU32| w.load(Ordering::Relaxed) == 0;
+                        prop_assert!(sorted[k].tary.iter().chain(&sorted[k].bary).all(zero));
+                    }
+                }
+            }
+            for (f, s) in full.iter().zip(&sorted) {
+                marks_hold(f)?;
+                marks_hold(s)?;
+                for side in [Side::Tary, Side::Bary] {
+                    let words = |t: &IdTables| -> Vec<u32> {
+                        t.words(side).iter().map(|w| w.load(Ordering::Relaxed)).collect()
+                    };
+                    prop_assert_eq!(words(s), words(f));
+                }
+            }
+        }
+        Ok(())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
@@ -2103,6 +2305,14 @@ mod tests {
         ) {
             run_model(false, &ops)?;
             run_model(true, &ops)?;
+        }
+
+        #[test]
+        fn sorted_bounded_updates_match_the_full_scan(
+            ops in proptest::collection::vec((0u8..8, any::<u64>()), 1..40)
+        ) {
+            run_sorted_against_full_scan(false, &ops)?;
+            run_sorted_against_full_scan(true, &ops)?;
         }
     }
 }
