@@ -33,7 +33,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use mcfi_codegen::{compile_source, CodegenOptions};
-use mcfi_module::{DecodeLimits, Module};
+use mcfi_module::{DecodeLimits, Module, Reloc, RelocKind};
 use mcfi_runtime::{Process, ProcessOptions};
 use mcfi_workloads::Variant;
 
@@ -398,8 +398,9 @@ pub fn run_fuzz(seed: u64, iters: u64, corpus: &[Vec<u8>], limits: &DecodeLimits
 }
 
 /// Hand-written regression mutants: the attack shapes that motivated
-/// each hardening, applied to the first corpus image. Kept fixed (not
-/// random) so they run as plain tests forever.
+/// each hardening, applied to the first corpus image or, where that
+/// image lacks the part a shape attacks, to a module built for it. Kept
+/// fixed (not random) so they run as plain tests forever.
 pub fn regression_mutants(corpus: &[Vec<u8>]) -> Vec<(&'static str, Vec<u8>)> {
     let base = corpus.first().cloned().unwrap_or_default();
     let mut out: Vec<(&'static str, Vec<u8>)> = Vec::new();
@@ -435,6 +436,18 @@ pub fn regression_mutants(corpus: &[Vec<u8>]) -> Vec<(&'static str, Vec<u8>)> {
         splice[mid..mid + 32].copy_from_slice(&chunk);
     }
     out.push(("header-self-splice", splice));
+
+    // A direct-call relocation in data (`int g = 5;` patched at data
+    // offset 0): the loader has no meaning for it there, so admission
+    // must refuse it rather than reach the loader.
+    let mut module = compile_source(
+        "data-call",
+        "int g = 5;\nint id(int x) { return x; }\nint main(void) { return id(g); }",
+        &CodegenOptions::default(),
+    )
+    .expect("the data-call source compiles");
+    module.data_relocs.push(Reloc { patch_at: 0, kind: RelocKind::CallRel("id".into()) });
+    out.push(("call-reloc-in-data", module.to_bytes().expect("the data-call module serializes")));
 
     out
 }

@@ -16,7 +16,7 @@ use mcfi_machine::check;
 use mcfi_minic::types::{Type, TypeEnv};
 
 use crate::wire::{self, DecodeLimits, WireError, WireErrorKind};
-use crate::{Module, Reloc};
+use crate::{Module, Reloc, RelocKind};
 
 /// Why an untrusted module image was refused admission.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -169,6 +169,16 @@ impl Module {
         }
         check_relocs(&self.relocs, code, "code")?;
         check_relocs(&self.data_relocs, data, "data")?;
+        // Data holds only the addresses codegen stores in initializers;
+        // the loader has no meaning for a code-only kind there.
+        for (i, r) in self.data_relocs.iter().enumerate() {
+            if !matches!(r.kind, RelocKind::FuncAbs(_) | RelocKind::GlobalAbs(_)) {
+                return Err(malformed(
+                    r.patch_at,
+                    format!("data reloc #{i} has kind {:?}, which only code may carry", r.kind),
+                ));
+            }
+        }
 
         for (i, b) in self.aux.indirect_branches.iter().enumerate() {
             if b.local_slot as usize != i {
@@ -322,6 +332,30 @@ mod tests {
         let mut m = valid_module();
         m.relocs.push(Reloc { patch_at: 60, kind: RelocKind::FuncAbs("f".into()) });
         assert!(matches!(m.validate(), Err(AdmissionError::Malformed { .. })));
+    }
+
+    #[test]
+    fn only_address_relocs_may_patch_data() {
+        let mut m = valid_module();
+        for kind in [RelocKind::FuncAbs("f".into()), RelocKind::GlobalAbs("g".into())] {
+            m.data_relocs = vec![Reloc { patch_at: 8, kind }];
+            m.validate().unwrap();
+        }
+        for kind in [
+            RelocKind::CallRel("f".into()),
+            RelocKind::JumpTable(0),
+            RelocKind::GotSlot("f".into()),
+            RelocKind::CodeAbs(4),
+        ] {
+            let name = format!("{kind:?}");
+            m.data_relocs = vec![Reloc { patch_at: 8, kind }];
+            match m.validate() {
+                Err(AdmissionError::Malformed { offset: 8, what }) => {
+                    assert!(what.contains("data reloc #0") && what.contains(&name), "{what}");
+                }
+                other => panic!("{name} in data: {other:?}"),
+            }
+        }
     }
 
     #[test]

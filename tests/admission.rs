@@ -107,6 +107,54 @@ fn malformed_image_rejects_with_process_state_intact() {
     assert_eq!(r.outcome, Outcome::Exit { code: 10021 }, "stdout: {}", r.stdout);
 }
 
+/// A direct-call relocation placed in data: `int g = 5;` with a
+/// `CallRel("id")` patching data offset 0. Codegen puts only function
+/// and global addresses in data, and the loader has no meaning for a
+/// code-only kind there, so admission refuses the image as malformed,
+/// naming the relocation and its kind, before any loader state changes.
+#[test]
+fn a_code_only_relocation_in_data_is_refused_with_state_intact() {
+    let mut module = compile_module(
+        "libu",
+        "int g = 5;\nint id(int x) { return x; }\nint u_fn(int v) { return id(v) + g; }",
+        &opts(),
+    )
+    .expect("library compiles");
+    assert_eq!(module.globals["g"].offset, 0, "g sits at data offset 0");
+    module.data_relocs.push(mcfi_module::Reloc {
+        patch_at: 0,
+        kind: mcfi_module::RelocKind::CallRel("id".into()),
+    });
+    let image = module.to_bytes().expect("serializes");
+
+    match Module::decode_image(&image, &DecodeLimits::admission()) {
+        Err(AdmissionError::Malformed { offset: 0, what }) => {
+            assert!(what.contains("data reloc") && what.contains("CallRel(\"id\")"), "{what}");
+        }
+        other => panic!("a CallRel in data must be malformed, got {other:?}"),
+    }
+
+    let mut sys = System::boot_source(DLOPEN_TWICE_SRC, &opts()).expect("boots");
+    let data_base = ProcessOptions::default().layout.data_base as usize;
+    let p = sys.process();
+    let got_before = p.mem().raw()[data_base..data_base + 0x1000].to_vec();
+    let gen_before = p.mem().generation();
+    let err = p.load_image(image.clone()).expect_err("a CallRel in data must be refused");
+    assert!(
+        matches!(err, LoadError::Admission(AdmissionError::Malformed { .. })),
+        "{err}"
+    );
+    sys.register_library_image("libu", image);
+    let r = sys.run().expect("runs");
+    assert_eq!(r.outcome, Outcome::Exit { code: 0 }, "stdout: {}", r.stdout);
+    assert!(r.admission_rejects >= 3, "the direct load and both dlopens were refused");
+    assert_eq!(r.updates, 0, "no update transaction ran");
+    let p = sys.process();
+    assert_eq!(p.mem().raw()[data_base..data_base + 0x1000], got_before[..], "GOT untouched");
+    assert_eq!(p.mem().generation(), gen_before, "no sandbox churn on an admission reject");
+    assert!(p.symbol("u_fn").is_none() && p.symbol("id").is_none(), "nothing was linked");
+}
+
 /// A wire-valid but *uninstrumented* module decodes fine and fails the
 /// machine-code verifier inside the load transaction: the reject is a
 /// real rollback (generation advances, GOT unchanged), surfaced as
