@@ -15,16 +15,23 @@
 //! 1. the pipeline returns an error (the image is rejected), or
 //! 2. the image decodes to a semantically valid module — one whose
 //!    re-encoding decodes back to an *equal* module (the round-trip
-//!    differential `decode(to_bytes(decode(x))) == decode(x)`; byte
-//!    fixpoints are out of reach because the type environment
-//!    serializes hash maps in arbitrary order) and which the verifier
-//!    and loader handle without panicking.
+//!    differential `decode(to_bytes(decode(x))) == decode(x)`) and
+//!    which the verifier and loader handle without panicking.
+//!
+//! The oracle compares modules, not bytes. The byte fixpoint
+//! `to_bytes(decode(x)) == x` holds for every image `to_bytes` writes
+//! (`tests/module_bytes.rs` checks it on every shipped module), but not
+//! for every image the decoder accepts: a mutant may list map entries
+//! out of order, which decode to the same module and re-encode sorted.
 //!
 //! Anything else — a panic anywhere, a budget the decoder failed to
 //! enforce, a round-trip mismatch — is a [`Violation`].
 //!
-//! Everything is seeded: `run_fuzz(seed, iters, ..)` replays
-//! byte-for-byte, so a CI failure reproduces locally with
+//! Everything is seeded, and a module serializes to the same bytes in
+//! every process (its type environment keeps ordered maps), so the
+//! corpus, and with it every mutant, is the same from run to run:
+//! `run_fuzz(seed, iters, ..)` replays byte-for-byte, in this process or
+//! another, and a CI failure reproduces locally with
 //! `cargo run -p mcfi-fuzz -- --seed N --iters M`.
 
 #![forbid(unsafe_code)]
@@ -358,7 +365,8 @@ pub fn default_corpus() -> Vec<Vec<u8>> {
 
 /// Runs `iters` mutational iterations from `seed` over `corpus`,
 /// checking every mutant against the oracle. Deterministic: the same
-/// (seed, iters, corpus, limits) replays byte-for-byte.
+/// (seed, iters, corpus, limits) replays byte-for-byte, and
+/// [`default_corpus`] builds the same images in every process.
 ///
 /// Panic output from the guarded stages is suppressed for the duration
 /// of the run (a fuzzer expects to *catch* panics, not print 10 000

@@ -7,8 +7,9 @@
 //! Exits 0 when the run finds no oracle violations; exits 1 and (with
 //! `--dump-dir`) writes each failing input to
 //! `DIR/seed<seed>-iter<iteration>.bin` otherwise. Runs are
-//! deterministic: re-running with the same seed and iteration count
-//! reproduces every failure byte-for-byte.
+//! deterministic across processes: the corpus compiles to the same bytes
+//! every time, so re-running with the same seed and iteration count
+//! prints the same summary and reproduces every failure byte-for-byte.
 
 use std::process::ExitCode;
 

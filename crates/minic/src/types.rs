@@ -6,7 +6,7 @@
 //! types (typedefs, struct/union tags) by their definitions; recursive
 //! types are handled coinductively with an assume-equal set.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
@@ -138,11 +138,13 @@ pub struct Composite {
 /// The type environment of a module: typedefs plus struct/union tags.
 ///
 /// Merging the environments of two modules during linking is the "simple
-/// union operation" of paper §6; [`TypeEnv::merge`] implements it.
+/// union operation" of paper §6; [`TypeEnv::merge`] implements it. Both
+/// maps are ordered, so a module's serialized bytes do not depend on the
+/// process that wrote them.
 #[derive(Clone, Default, PartialEq, Debug, Serialize, Deserialize)]
 pub struct TypeEnv {
-    typedefs: HashMap<String, Type>,
-    composites: HashMap<String, Composite>,
+    typedefs: BTreeMap<String, Type>,
+    composites: BTreeMap<String, Composite>,
 }
 
 impl TypeEnv {
