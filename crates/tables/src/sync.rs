@@ -237,9 +237,10 @@ impl<T: Send + fmt::Debug> MutexOps<T> for parking_lot::Mutex<T> {
 }
 
 /// The words of dropped production tables, each array zeroed, for
-/// [`StdSync::alloc_words`] to hand out again. A fresh array is written
-/// whole when it is built, so reusing one makes a new table cost the
-/// pages its policies wrote, not the whole reservation again.
+/// [`StdSync::alloc_words`] to hand out again. Only the pages a table's
+/// policies wrote are zeroed on the way in, where a fresh zeroed
+/// allocation of a size the allocator recycles would be zeroed whole, so
+/// a new table costs the pages its own policies write.
 static FREE_WORDS: std::sync::Mutex<Vec<Vec<std::sync::atomic::AtomicU32>>> =
     std::sync::Mutex::new(Vec::new());
 
@@ -270,7 +271,9 @@ impl SyncFacade for StdSync {
             let mut pool = word_pool();
             pool.iter().position(|w| w.len() == len).map(|i| pool.swap_remove(i))
         };
-        reused.unwrap_or_else(|| (0..len).map(|_| Self::AtomicU32::new(0)).collect())
+        // A fresh array comes from a zeroed allocation, converted in
+        // place, so its pages stay untouched until a policy writes them.
+        reused.unwrap_or_else(|| vec![0; len].into_iter().map(Self::AtomicU32::new).collect())
     }
 
     fn free_words(words: Vec<Self::AtomicU32>, written: usize) {
