@@ -28,6 +28,16 @@
 //! is the retry loop around [`IdTables::check_once`], one speculative
 //! attempt.
 //!
+//! Each shard keeps a high-water mark per table, one past the last word
+//! that may be nonzero, so a transaction scans only what was written:
+//! an install up to the larger of the mark and the new policy's end,
+//! every re-stamp up to the mark. [`IdTables::update_sorted`], which
+//! walks a policy given as sorted entries, is what the runtime installs
+//! with; the closure-based [`IdTables::update`] asks about every entry
+//! and is the reference the tests compare it against. Dropped tables
+//! hand their words back to the sync facade, which production code
+//! reuses for the next table.
+//!
 //! The [`stm`] module contains the alternative synchronization strategies
 //! the paper micro-benchmarks against (TML, a readers-writer lock, and a
 //! compare-and-swap mutex), and [`quiescence`] implements the update-counter
