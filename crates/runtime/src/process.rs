@@ -21,8 +21,8 @@ use mcfi_minic::types::TypeEnv;
 use mcfi_linker::build_plt_stub;
 use mcfi_module::{AdmissionError, DecodeLimits, Module, RelocKind};
 use mcfi_tables::{
-    CheckError, IdTables, LeaseConfig, RetryConfig, TablesConfig, TxCounters, UpdateStats,
-    ViolationKind, WatchdogVerdict,
+    CheckError, IdTables, LeaseConfig, RetryConfig, TablesConfig, TxCounters, ViolationKind,
+    WatchdogVerdict,
 };
 
 use crate::icache::PredecodeCache;
@@ -36,14 +36,10 @@ use crate::vm::{Event, Vm, VmError, VmState};
 /// address order, and one ECN per Bary slot), running `between` between
 /// its Tary and Bary phases. Every runtime policy install goes through
 /// here.
-pub(crate) fn install(
-    tables: &IdTables,
-    policy: &ControlFlowPolicy,
-    between: impl FnOnce(),
-) -> UpdateStats {
+pub(crate) fn install(tables: &IdTables, policy: &ControlFlowPolicy, between: impl FnOnce()) {
     let tary: Vec<(u64, u32)> = policy.tary.iter().map(|(&addr, &ecn)| (addr, ecn)).collect();
     let bary: Vec<u32> = policy.bary.iter().map(|b| b.ecn).collect();
-    tables.update_sorted(&tary, &bary, between)
+    tables.update_sorted(&tary, &bary, between);
 }
 
 /// Address-space layout of a process.
@@ -1518,6 +1514,9 @@ impl Process {
     /// transaction, adjusting GOT entries between the two table phases.
     fn install_policy(&mut self) {
         let policy = self.current_policy();
+        // Every allocated Bary slot gets an ECN: Fig. 4's fast path would
+        // pass an empty slot against any non-target.
+        debug_assert_eq!(policy.bary.len(), self.state.total_slots, "a Bary slot without a policy");
 
         // GOT bindings resolvable now.
         let mut got_writes: Vec<(u64, u64)> = Vec::new();
