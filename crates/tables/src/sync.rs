@@ -271,8 +271,9 @@ impl SyncFacade for StdSync {
             let mut pool = word_pool();
             pool.iter().position(|w| w.len() == len).map(|i| pool.swap_remove(i))
         };
-        // A fresh array comes from a zeroed allocation, converted in
-        // place, so its pages stay untouched until a policy writes them.
+        // A fresh array comes from a zeroed allocation converted in
+        // place, which an optimized build compiles to nothing, so its
+        // pages stay untouched until a policy writes them.
         reused.unwrap_or_else(|| vec![0; len].into_iter().map(Self::AtomicU32::new).collect())
     }
 
