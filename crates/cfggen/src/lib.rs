@@ -33,6 +33,9 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use mcfi_minic::types::{FuncType, TypeEnv};
 use mcfi_module::{BranchKind, CalleeKind, Module};
 
+#[cfg(test)]
+mod reference;
+
 /// One module placed in the address space.
 #[derive(Clone, Copy, Debug)]
 pub struct Placed<'a> {
@@ -158,102 +161,194 @@ impl ControlFlowPolicy {
     }
 }
 
+/// A function's index in [`Graph::funcs`].
+type FnId = usize;
+/// An interned signature's index in [`Types::sigs`].
+type SigId = usize;
+
+/// The merged type environment and every signature the modules mention,
+/// each interned once, with `call_compatible` memoized per pair.
+struct Types<'m> {
+    env: TypeEnv,
+    sigs: Vec<&'m FuncType>,
+    ids: HashMap<&'m FuncType, SigId>,
+    compatible: HashMap<(SigId, SigId), bool>,
+}
+
+impl<'m> Types<'m> {
+    fn intern(&mut self, sig: &'m FuncType) -> SigId {
+        let next = self.sigs.len();
+        let id = *self.ids.entry(sig).or_insert(next);
+        if id == next {
+            self.sigs.push(sig);
+        }
+        id
+    }
+
+    /// [`TypeEnv::call_compatible`] of a pointer and a function
+    /// signature, computed once per pair.
+    fn compatible(&mut self, ptr: SigId, func: SigId) -> bool {
+        *self
+            .compatible
+            .entry((ptr, func))
+            .or_insert_with(|| self.env.call_compatible(self.sigs[ptr], self.sigs[func]))
+    }
+}
+
 /// A resolved function: where it lives and what the policy knows about it.
-#[derive(Clone, Debug)]
-struct FuncInfo {
+struct Func {
     entry: u64,
-    sig: FuncType,
+    sig: SigId,
     address_taken: bool,
 }
 
-/// Key for functions: static functions are module-scoped, exported ones
-/// are global.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-enum FuncKey {
-    Global(String),
-    Local(usize, String),
+/// The call graph the policy is read from, over dense function ids.
+/// Static functions are module-scoped, exported ones global; a later
+/// definition of a name replaces an earlier one.
+struct Graph<'m> {
+    funcs: Vec<Func>,
+    globals: HashMap<&'m str, FnId>,
+    /// Each module's static functions.
+    locals: Vec<HashMap<&'m str, FnId>>,
+    /// Aligned return addresses following direct calls to each function.
+    direct_sites: Vec<Vec<u64>>,
+    /// Return addresses following indirect calls, by pointer signature.
+    indirect_sites: BTreeMap<SigId, Vec<u64>>,
+    /// Tail callers of each function.
+    tail_preds: Vec<Vec<FnId>>,
+    /// Functions making an indirect tail call, by pointer signature.
+    indirect_tail_callers: BTreeMap<SigId, Vec<FnId>>,
+}
+
+impl<'m> Graph<'m> {
+    /// A module's own static function of that name, else the global one.
+    fn resolve(&self, mi: usize, name: &str) -> Option<FnId> {
+        self.locals[mi].get(name).or_else(|| self.globals.get(name)).copied()
+    }
+
+    /// Return targets of `f`: sites after calls to any member of the
+    /// tail-caller closure of `f` (including `f` itself). `seen` is all
+    /// `false` on entry and on return.
+    fn return_targets(&self, types: &mut Types<'m>, f: FnId, seen: &mut [bool]) -> BTreeSet<u64> {
+        let mut closure = Vec::new();
+        let mut work = vec![f];
+        while let Some(k) = work.pop() {
+            if std::mem::replace(&mut seen[k], true) {
+                continue;
+            }
+            closure.push(k);
+            work.extend(&self.tail_preds[k]);
+            // Indirect tail calls reach k when k is address-taken and the
+            // pointer signature matches.
+            if self.funcs[k].address_taken {
+                for (&sig, callers) in &self.indirect_tail_callers {
+                    if types.compatible(sig, self.funcs[k].sig) {
+                        work.extend(callers);
+                    }
+                }
+            }
+        }
+        let mut out = BTreeSet::new();
+        for k in closure {
+            seen[k] = false;
+            out.extend(&self.direct_sites[k]);
+            if self.funcs[k].address_taken {
+                for (&sig, sites) in &self.indirect_sites {
+                    if types.compatible(sig, self.funcs[k].sig) {
+                        out.extend(sites);
+                    }
+                }
+            }
+        }
+        out
+    }
 }
 
 /// Generates the control-flow policy for a set of linked modules.
 ///
 /// The merged type environment is the union of the modules' environments
 /// ("combining type information of multiple modules during linking is a
-/// simple union operation", §6).
+/// simple union operation", §6). The policy is a function of `placed`
+/// alone; functions are resolved through tables keyed by the modules' own
+/// names, signatures are matched once per pair, and each function's
+/// return targets and each pointer signature's entries are computed once.
 ///
 /// # Panics
 ///
 /// Panics if two modules export clashing type definitions — the linker
 /// rejects such inputs before calling this.
-pub fn generate(placed: &[Placed<'_>]) -> ControlFlowPolicy {
-    let mut env = TypeEnv::new();
+pub fn generate<'m>(placed: &[Placed<'m>]) -> ControlFlowPolicy {
+    let mut types = Types {
+        env: TypeEnv::new(),
+        sigs: Vec::new(),
+        ids: HashMap::new(),
+        compatible: HashMap::new(),
+    };
     for p in placed {
-        env.merge(&p.module.aux.env)
+        types
+            .env
+            .merge(&p.module.aux.env)
             .expect("linker verified type environments before CFG generation");
     }
 
     // ---- resolve functions ----
-    let mut funcs: BTreeMap<FuncKey, FuncInfo> = BTreeMap::new();
+    let mut g = Graph {
+        funcs: Vec::new(),
+        globals: HashMap::new(),
+        locals: vec![HashMap::new(); placed.len()],
+        direct_sites: Vec::new(),
+        indirect_sites: BTreeMap::new(),
+        tail_preds: Vec::new(),
+        indirect_tail_callers: BTreeMap::new(),
+    };
     for (mi, p) in placed.iter().enumerate() {
         for (name, sym) in &p.module.functions {
             if sym.size == 0 {
                 continue; // declaration only
             }
-            let key = if sym.is_static {
-                FuncKey::Local(mi, name.clone())
-            } else {
-                FuncKey::Global(name.clone())
-            };
-            funcs.insert(key, FuncInfo {
+            let func = Func {
                 entry: p.code_base + sym.offset as u64,
-                sig: sym.sig.clone(),
+                sig: types.intern(&sym.sig),
                 address_taken: sym.address_taken,
-            });
+            };
+            let names = if sym.is_static { &mut g.locals[mi] } else { &mut g.globals };
+            let next = g.funcs.len();
+            let id = *names.entry(name.as_str()).or_insert(next);
+            if id == next {
+                g.funcs.push(func);
+            } else {
+                g.funcs[id] = func;
+            }
         }
     }
     // Address-taken-ness is a whole-program property: a module may export a
     // function whose address is taken by *another* module's code. The
     // per-module flag is unioned here via imports + FuncAbs relocations.
-    let mut taken_names: BTreeSet<String> = BTreeSet::new();
     for p in placed {
         for r in p.module.relocs.iter().chain(&p.module.data_relocs) {
             if let mcfi_module::RelocKind::FuncAbs(n) = &r.kind {
-                taken_names.insert(n.clone());
+                if let Some(&f) = g.globals.get(n.as_str()) {
+                    g.funcs[f].address_taken = true;
+                }
             }
         }
     }
-    for (key, info) in &mut funcs {
-        let name = match key {
-            FuncKey::Global(n) | FuncKey::Local(_, n) => n,
-        };
-        if taken_names.contains(name) && matches!(key, FuncKey::Global(_)) {
-            info.address_taken = true;
-        }
-    }
-
-    let resolve = |mi: usize, name: &str| -> Option<FuncKey> {
-        let local = FuncKey::Local(mi, name.to_string());
-        if funcs.contains_key(&local) {
-            return Some(local);
-        }
-        let global = FuncKey::Global(name.to_string());
-        funcs.contains_key(&global).then_some(global)
-    };
 
     // ---- call sites (return-site map) ----
-    // sites[k] = aligned return addresses following calls to function k.
-    let mut direct_sites: HashMap<FuncKey, BTreeSet<u64>> = HashMap::new();
-    let mut indirect_sites: Vec<(FuncType, u64)> = Vec::new();
+    g.direct_sites.resize(g.funcs.len(), Vec::new());
     let mut setjmp_sites: BTreeSet<u64> = BTreeSet::new();
     for (mi, p) in placed.iter().enumerate() {
         for site in &p.module.aux.return_sites {
             let addr = p.code_base + site.offset as u64;
             match &site.callee {
                 CalleeKind::Direct(name) => {
-                    if let Some(key) = resolve(mi, name) {
-                        direct_sites.entry(key).or_default().insert(addr);
+                    if let Some(f) = g.resolve(mi, name) {
+                        g.direct_sites[f].push(addr);
                     }
                 }
-                CalleeKind::Indirect(sig) => indirect_sites.push((sig.clone(), addr)),
+                CalleeKind::Indirect(sig) => {
+                    g.indirect_sites.entry(types.intern(sig)).or_default().push(addr);
+                }
                 CalleeKind::SetJmp => {
                     setjmp_sites.insert(addr);
                 }
@@ -262,90 +357,61 @@ pub fn generate(placed: &[Placed<'_>]) -> ControlFlowPolicy {
     }
 
     // ---- tail-call graph (callee -> tail-callers) ----
-    let mut tail_preds: HashMap<FuncKey, Vec<FuncKey>> = HashMap::new();
-    let mut indirect_tail_callers: Vec<(FuncType, FuncKey)> = Vec::new();
+    g.tail_preds.resize(g.funcs.len(), Vec::new());
     for (mi, p) in placed.iter().enumerate() {
         for (from, to) in &p.module.aux.tail_calls {
-            if let (Some(fk), Some(tk)) = (resolve(mi, from), resolve(mi, to)) {
-                tail_preds.entry(tk).or_default().push(fk);
+            if let (Some(f), Some(t)) = (g.resolve(mi, from), g.resolve(mi, to)) {
+                g.tail_preds[t].push(f);
             }
         }
         for b in &p.module.aux.indirect_branches {
             if let BranchKind::IndirectTailCall { sig } = &b.kind {
-                if let Some(fk) = resolve(mi, &b.in_function) {
-                    indirect_tail_callers.push((sig.clone(), fk));
+                if let Some(f) = g.resolve(mi, &b.in_function) {
+                    g.indirect_tail_callers.entry(types.intern(sig)).or_default().push(f);
                 }
             }
         }
     }
 
-    // Return targets of `f`: sites after calls to any member of the
-    // tail-caller closure of f (including f itself).
-    let return_targets = |fkey: &FuncKey| -> BTreeSet<u64> {
-        let mut closure: BTreeSet<FuncKey> = BTreeSet::new();
-        let mut work = vec![fkey.clone()];
-        while let Some(k) = work.pop() {
-            if !closure.insert(k.clone()) {
-                continue;
-            }
-            if let Some(preds) = tail_preds.get(&k) {
-                work.extend(preds.iter().cloned());
-            }
-            // Indirect tail calls reach k when k is address-taken and the
-            // pointer signature matches.
-            let kinfo = &funcs[&k];
-            if kinfo.address_taken {
-                for (sig, caller) in &indirect_tail_callers {
-                    if env.call_compatible(sig, &kinfo.sig) {
-                        work.push(caller.clone());
-                    }
-                }
-            }
-        }
-        let mut out = BTreeSet::new();
-        for k in &closure {
-            if let Some(sites) = direct_sites.get(k) {
-                out.extend(sites.iter().copied());
-            }
-            let kinfo = &funcs[k];
-            if kinfo.address_taken {
-                for (sig, addr) in &indirect_sites {
-                    if env.call_compatible(sig, &kinfo.sig) {
-                        out.insert(*addr);
-                    }
-                }
-            }
-        }
-        out
-    };
-
-    // Matching AT functions for a pointer signature.
-    let matching_entries = |sig: &FuncType| -> BTreeSet<u64> {
-        funcs
-            .values()
-            .filter(|f| f.address_taken && env.call_compatible(sig, &f.sig))
-            .map(|f| f.entry)
-            .collect()
-    };
+    // Address-taken entries by signature, for pointer-signature matching.
+    let mut entries_by_sig: BTreeMap<SigId, Vec<u64>> = BTreeMap::new();
+    for f in g.funcs.iter().filter(|f| f.address_taken) {
+        entries_by_sig.entry(f.sig).or_default().push(f.entry);
+    }
 
     // ---- per-branch target sets, global slot order ----
+    let mut returns: Vec<Option<BTreeSet<u64>>> = vec![None; g.funcs.len()];
+    let mut entries: HashMap<SigId, BTreeSet<u64>> = HashMap::new();
+    let mut seen = vec![false; g.funcs.len()];
     let mut bary = Vec::new();
     for (mi, p) in placed.iter().enumerate() {
         for b in &p.module.aux.indirect_branches {
             let targets = match &b.kind {
-                BranchKind::Return { function } => match resolve(mi, function) {
-                    Some(key) => return_targets(&key),
+                BranchKind::Return { function } => match g.resolve(mi, function) {
+                    Some(f) => returns[f]
+                        .get_or_insert_with(|| g.return_targets(&mut types, f, &mut seen))
+                        .clone(),
                     None => BTreeSet::new(),
                 },
                 BranchKind::IndirectCall { sig } | BranchKind::IndirectTailCall { sig } => {
-                    matching_entries(sig)
+                    let ptr = types.intern(sig);
+                    entries
+                        .entry(ptr)
+                        .or_insert_with(|| {
+                            let mut out = BTreeSet::new();
+                            for (&sig, at) in &entries_by_sig {
+                                if types.compatible(ptr, sig) {
+                                    out.extend(at);
+                                }
+                            }
+                            out
+                        })
+                        .clone()
                 }
-                BranchKind::PltEntry { symbol } => {
-                    match funcs.get(&FuncKey::Global(symbol.clone())) {
-                        Some(f) => [f.entry].into_iter().collect(),
-                        None => BTreeSet::new(),
-                    }
-                }
+                BranchKind::PltEntry { symbol } => match g.globals.get(symbol.as_str()) {
+                    Some(&f) => [g.funcs[f].entry].into_iter().collect(),
+                    None => BTreeSet::new(),
+                },
                 BranchKind::LongJmp => setjmp_sites.clone(),
             };
             bary.push(BranchPolicy { module: mi, local_slot: b.local_slot, ecn: 0, targets });
@@ -406,6 +472,7 @@ impl UnionFind {
 mod tests {
     use super::*;
     use mcfi_codegen::{compile_source, CodegenOptions};
+    use proptest::prelude::*;
 
     fn policy_of(src: &str) -> ControlFlowPolicy {
         let m = compile_source("t", src, &CodegenOptions::default())
@@ -604,6 +671,113 @@ mod tests {
             .find(|br| br.module == 0 && br.targets.iter().any(|t| *t >= 0x10000))
             .expect("f's return reaches B's call site");
         assert!(!ret.targets.is_empty());
+    }
+
+    /// A dlopen-style plugin like the benchmark's: `funcs` exported
+    /// `int(int)` functions, each a loop over its own constants.
+    fn plugin(k: usize, funcs: usize) -> Module {
+        let mut src = String::new();
+        for j in 0..funcs {
+            src.push_str(&format!(
+                "int p{k}_f{j}(int x) {{ int a = {}; int i = 0; \
+                 while (i < {}) {{ a = (a * {} + x + i) % 65521; i = i + 1; }} return a; }}\n",
+                k * 7 + j,
+                k % 5,
+                2 + j,
+            ));
+        }
+        compile_source(&format!("plugin{k}"), &src, &CodegenOptions::default()).unwrap()
+    }
+
+    /// The PLT stub the loader places for `symbol`, as a one-branch
+    /// pseudo-module.
+    fn plt_stub(symbol: &str, got_slot: u64) -> Module {
+        let stub = mcfi_linker::build_plt_stub(symbol, got_slot);
+        let mut m = Module::new(format!("__plt_{symbol}"));
+        m.code = stub.code;
+        let mut branch = stub.branch;
+        branch.local_slot = 0;
+        m.aux.indirect_branches.push(branch);
+        m
+    }
+
+    /// The shipped modules (the 12 workloads in both tail-call settings,
+    /// the syscall stubs, libms, start and PLT stubs), a dlopen host and
+    /// generated plugins.
+    fn module_pool() -> &'static [Module] {
+        static POOL: std::sync::OnceLock<Vec<Module>> = std::sync::OnceLock::new();
+        POOL.get_or_init(|| {
+            use mcfi_workloads::{source, Variant, BENCHMARKS};
+            let mut pool = Vec::new();
+            for tail_calls in [true, false] {
+                let opts = CodegenOptions { tail_calls, ..CodegenOptions::default() };
+                let compile = |name: &str, src: &str| compile_source(name, src, &opts).unwrap();
+                pool.extend(BENCHMARKS.map(|b| compile(b, &source(b, Variant::Fixed))));
+                pool.push(compile("libms", mcfi_runtime::stdlib::LIBMS_SRC));
+                pool.push(compile("__start_mod", mcfi_runtime::stdlib::START_SRC));
+            }
+            pool.push(mcfi_runtime::synth::syscall_module());
+            pool.push(
+                compile_source(
+                    "host",
+                    "void* dlsym(char* name);\nchar plugin_sym[32];\nint plugin_arg = 0;\n\
+                     int main(void) {\n  int (*f)(int) = (int(*)(int))dlsym(plugin_sym);\n\
+                     if (!f) { return -1; }\n  return f(plugin_arg);\n}\n",
+                    &CodegenOptions::default(),
+                )
+                .unwrap(),
+            );
+            pool.extend((0..8).map(|k| plugin(k, 1 + k % 4)));
+            let imports = ["qsort", "never_defined_anywhere", "p3_f0", "dlsym"];
+            for (i, symbol) in imports.iter().enumerate() {
+                pool.push(plt_stub(symbol, 0x40_0000 + 8 * i as u64));
+            }
+            pool
+        })
+    }
+
+    proptest! {
+        /// The indexed generation gives today's policy on any sequence of
+        /// modules whose type environments merge, placed one after the
+        /// other, with random functions flipped to address-taken or not.
+        #[test]
+        fn indexed_generation_matches_the_reference(
+            picks in proptest::collection::vec((0usize..1000, any::<u64>()), 1..14)
+        ) {
+            let pool = module_pool();
+            let mut env = TypeEnv::new();
+            let mut modules = Vec::new();
+            for (i, flips) in picks {
+                let mut m = pool[i % pool.len()].clone();
+                let mut merged = env.clone();
+                if merged.merge(&m.aux.env).is_err() {
+                    continue; // the linker refuses this set
+                }
+                env = merged;
+                for (j, f) in m.functions.values_mut().enumerate() {
+                    if flips >> (2 * j % 64) & 3 == 0 {
+                        f.address_taken = !f.address_taken;
+                    }
+                }
+                modules.push(m);
+            }
+            let mut next = 0x1000u64;
+            let placed: Vec<Placed<'_>> = modules
+                .iter()
+                .map(|module| {
+                    let code_base = (next + 15) & !15;
+                    next = code_base + module.code.len().max(4) as u64;
+                    Placed { module, code_base }
+                })
+                .collect();
+            let (want, got) = (reference::generate(&placed), generate(&placed));
+            prop_assert_eq!(&got.tary, &want.tary);
+            prop_assert_eq!(got.stats, want.stats);
+            let slots = |p: &ControlFlowPolicy| -> Vec<(usize, u32, u32, BTreeSet<u64>)> {
+                p.bary.iter().map(|b| (b.module, b.local_slot, b.ecn, b.targets.clone())).collect()
+            };
+            prop_assert_eq!(slots(&got), slots(&want));
+        }
     }
 
     #[test]
