@@ -6,11 +6,11 @@
 //! of the instruction at `pc`. Verified MCFI code never changes between
 //! a module being flipped executable and the next loader event, so both
 //! answers are stable for long stretches — millions of steps for the
-//! benchmark workloads. This module memoises them in a flat side-table
-//! per executable region, built eagerly with one
-//! [`mcfi_machine::decode_sweep`] pass when a region first becomes
-//! visible and refreshed lazily for any pc the sweep did not reach
-//! (e.g. mid-instruction gadget targets).
+//! benchmark workloads. This module memoises them per executable region:
+//! one slot per decoded instruction and a `u32` slot index per code byte,
+//! built eagerly with one [`mcfi_machine::decode_sweep`] pass when a
+//! region first becomes visible and refreshed lazily for any pc the
+//! sweep did not reach (e.g. mid-instruction gadget targets).
 //!
 //! The same per-region segments hold the baseline-compiled tier's block
 //! index ([`crate::trans`]), allocated when the tier first translates in
@@ -49,12 +49,11 @@
 
 use mcfi_machine::{cost_of, decode, decode_sweep, DecodeError, Inst};
 
-use crate::mem::Sandbox;
+use crate::mem::{Region, Sandbox};
 use crate::trans::{translate, Block};
 use crate::vm::{VmError, VmStats};
 
-/// One predecoded fetch result. `len == 0` marks an empty slot — no
-/// valid instruction length is zero, so no sentinel collision exists.
+/// One predecoded fetch result.
 #[derive(Clone, Copy)]
 struct Slot {
     inst: Inst,
@@ -63,8 +62,17 @@ struct Slot {
 }
 
 impl Slot {
-    const EMPTY: Slot = Slot { inst: Inst::Hlt, len: 0, cost: 0 };
+    fn new(inst: Inst, len: usize) -> Self {
+        Slot { inst, len: len as u8, cost: cost_of(&inst) as u32 }
+    }
+
+    fn fetched(&self) -> (Inst, u64, u64) {
+        (self.inst, u64::from(self.len), u64::from(self.cost))
+    }
 }
+
+/// Slot-index sentinel: no instruction memoised at this pc.
+const EMPTY: u32 = u32::MAX;
 
 /// Block-index sentinel: pc not translated yet.
 const UNVISITED: u32 = u32::MAX;
@@ -72,11 +80,16 @@ const UNVISITED: u32 = u32::MAX;
 /// starts at a `Hlt` or undecodable bytes); permanently interpreted.
 const UNTRANSLATABLE: u32 = u32::MAX - 1;
 
-/// The decoded view of one executable region, indexed by `pc - start`.
+/// The decoded view of one executable region.
 pub(crate) struct Segment {
     start: u64,
     end: u64,
+    /// The memoised instructions: the sweep's in address order, then
+    /// those filled lazily.
     slots: Vec<Slot>,
+    /// `index[pc - start]`: the slot of the instruction at `pc`, or
+    /// [`EMPTY`].
+    index: Vec<u32>,
     /// The translated tier's block index, `blocks[pc - start]`: an index
     /// into [`PredecodeCache::blocks`] or a sentinel. Empty until the
     /// tier first translates in this segment.
@@ -84,8 +97,29 @@ pub(crate) struct Segment {
 }
 
 impl Segment {
+    /// Sweeps region `r` into a new segment.
+    fn sweep(mem: &Sandbox, r: &Region) -> Segment {
+        let (start, end) = (r.start as usize, r.end as usize);
+        let mut index = vec![EMPTY; end - start];
+        let mut slots = Vec::new();
+        for (at, inst, len) in decode_sweep(mem.raw(), start, end) {
+            // The spill rule of `Segment::decode_into_slot`.
+            if at + len <= end {
+                index[at - start] = slots.len() as u32;
+                slots.push(Slot::new(inst, len));
+            }
+        }
+        slots.shrink_to_fit();
+        Segment { start: r.start, end: r.end, slots, index, blocks: Vec::new() }
+    }
+
     fn contains(&self, pc: u64) -> bool {
         self.start <= pc && pc < self.end
+    }
+
+    /// The memoised instruction at `pc` (inside the segment), if any.
+    fn slot(&self, pc: u64) -> Option<&Slot> {
+        self.slots.get(self.index[(pc - self.start) as usize] as usize)
     }
 
     /// Decodes the instruction at `pc` (inside the segment) live and
@@ -99,12 +133,12 @@ impl Segment {
         pc: u64,
     ) -> Result<(Inst, u64, u64), DecodeError> {
         let (inst, len) = decode(mem.raw(), pc as usize)?;
-        let cost = cost_of(&inst);
+        let slot = Slot::new(inst, len);
         if pc + len as u64 <= self.end {
-            self.slots[(pc - self.start) as usize] =
-                Slot { inst, len: len as u8, cost: cost as u32 };
+            self.index[(pc - self.start) as usize] = self.slots.len() as u32;
+            self.slots.push(slot);
         }
-        Ok((inst, len as u64, cost))
+        Ok(slot.fetched())
     }
 
     /// The `(inst, len, cost)` at `pc` if the instruction lies — bytes
@@ -115,9 +149,8 @@ impl Segment {
         if !self.contains(pc) {
             return None;
         }
-        let slot = self.slots[(pc - self.start) as usize];
-        if slot.len != 0 {
-            return Some((slot.inst, u64::from(slot.len), u64::from(slot.cost)));
+        if let Some(slot) = self.slot(pc) {
+            return Some(slot.fetched());
         }
         let (inst, len, cost) = self.decode_into_slot(mem, pc).ok()?;
         (pc + len <= self.end).then_some((inst, len, cost))
@@ -184,16 +217,16 @@ impl PredecodeCache {
         // Hot path, kept small enough to inline into the run loop: the
         // generation still matches, the pc is in the segment that served
         // the last fetch, and its slot is filled. The wrapping subtract
-        // against the slot count is one unsigned compare doing double
-        // duty as the range test and the bounds-check elision.
+        // against the index length is one unsigned compare doing double
+        // duty as the range test and the bounds-check elision, and the
+        // `EMPTY` index fails the slot lookup's own bounds check.
         if self.generation == mem.generation() {
             if let Some(seg) = self.segments.get(self.last_segment) {
                 let off = pc.wrapping_sub(seg.start) as usize;
-                if off < seg.slots.len() {
-                    let slot = seg.slots[off];
-                    if slot.len != 0 {
+                if let Some(&i) = seg.index.get(off) {
+                    if let Some(slot) = seg.slots.get(i as usize) {
                         stats.icache_hits += 1;
-                        return Ok((slot.inst, u64::from(slot.len), u64::from(slot.cost)));
+                        return Ok(slot.fetched());
                     }
                 }
             }
@@ -214,10 +247,9 @@ impl PredecodeCache {
         if let Some(idx) = self.segment_index(pc) {
             self.last_segment = idx;
             let seg = &mut self.segments[idx];
-            let slot = seg.slots[(pc - seg.start) as usize];
-            if slot.len != 0 {
+            if let Some(slot) = seg.slot(pc) {
                 stats.icache_hits += 1;
-                return Ok((slot.inst, u64::from(slot.len), u64::from(slot.cost)));
+                return Ok(slot.fetched());
             }
             // A pc the eager sweep walked over — typically mid-instruction.
             // The segment was built from an Rx region at the current
@@ -269,7 +301,7 @@ impl PredecodeCache {
         self.last_segment = idx;
         let seg = &mut self.segments[idx];
         if seg.blocks.is_empty() {
-            seg.blocks.resize(seg.slots.len(), UNVISITED);
+            seg.blocks.resize(seg.index.len(), UNVISITED);
         }
         let off = (pc - seg.start) as usize;
         if seg.blocks[off] == UNVISITED {
@@ -308,16 +340,7 @@ impl PredecodeCache {
         self.segments.clear();
         self.last_segment = 0;
         for r in mem.regions().iter().filter(|r| r.perm.executable()) {
-            let region_len = (r.end - r.start) as usize;
-            let mut slots = vec![Slot::EMPTY; region_len];
-            for (at, inst, len) in decode_sweep(mem.raw(), r.start as usize, r.end as usize) {
-                // The spill rule of `Segment::decode_into_slot`.
-                if at + len <= r.end as usize {
-                    slots[at - r.start as usize] =
-                        Slot { inst, len: len as u8, cost: cost_of(&inst) as u32 };
-                }
-            }
-            self.segments.push(Segment { start: r.start, end: r.end, slots, blocks: Vec::new() });
+            self.segments.push(Segment::sweep(mem, r));
         }
     }
 }
