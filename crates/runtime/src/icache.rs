@@ -22,17 +22,28 @@
 //!
 //! Correctness hangs on one question: *when may a memoised decoding go
 //! stale?* Only when the bytes an instruction fetch observes change, and
-//! under W^X every such change funnels through four `Sandbox` methods —
-//! `map`, `protect`, `load_image`, and `raw_mut` — each of which bumps
-//! the sandbox's generation counter. `write8`/`write64` cannot touch
+//! under W^X every such change funnels through five `Sandbox` methods —
+//! `map`, `protect`, `load_image`, `raw_mut` and `restore` — each of
+//! which bumps the sandbox's generation counter and stamps the regions it
+//! changed with the new generation. `write8`/`write64` cannot touch
 //! executable bytes (they fault on non-writable regions, and no region
 //! is ever writable and executable), so they leave the generation alone
 //! and the cache survives ordinary data traffic untouched. Every fetch
 //! and every translated dispatch compares the cache's build generation
-//! against the sandbox's; any mismatch throws the whole cache away —
-//! slots and translated blocks alike — and rebuilds, so dlopen-style
-//! loader patches (GOT slot rewrites, Bary-slot immediates) are
-//! re-decoded before they can execute stale.
+//! against the sandbox's; any mismatch retires every translated block
+//! and rebuilds the slots, so dlopen-style loader patches (GOT slot
+//! rewrites, Bary-slot immediates) are re-decoded before they can
+//! execute stale.
+//!
+//! A rebuild keeps a region's segment when the region has the same
+//! bounds, its stamp predates the last build and no fetch filled a slot
+//! the sweep did not; it sweeps every other executable region. A sweep's
+//! slots are a function of the region's own bytes: an instruction that
+//! spills past the end is never memoised, and a decode checks no byte
+//! past an instruction's first operand byte, so bytes past the end cannot
+//! change where the walk steps inside the region. A kept segment
+//! therefore holds exactly what a fresh sweep would, and counts the same
+//! hits and misses, so a dlopen sweeps only the code it adds.
 //!
 //! # Why this cannot weaken the security model
 //!
@@ -90,6 +101,10 @@ pub(crate) struct Segment {
     /// `index[pc - start]`: the slot of the instruction at `pc`, or
     /// [`EMPTY`].
     index: Vec<u32>,
+    /// Whether a fetch filled a slot the sweep did not. A rebuild sweeps
+    /// such a segment again, so the pc misses once more, as it would in a
+    /// fresh cache.
+    lazy: bool,
     /// The translated tier's block index, `blocks[pc - start]`: an index
     /// into [`PredecodeCache::blocks`] or a sentinel. Empty until the
     /// tier first translates in this segment.
@@ -110,7 +125,7 @@ impl Segment {
             }
         }
         slots.shrink_to_fit();
-        Segment { start: r.start, end: r.end, slots, index, blocks: Vec::new() }
+        Segment { start: r.start, end: r.end, slots, index, lazy: false, blocks: Vec::new() }
     }
 
     fn contains(&self, pc: u64) -> bool {
@@ -137,6 +152,7 @@ impl Segment {
         if pc + len as u64 <= self.end {
             self.index[(pc - self.start) as usize] = self.slots.len() as u32;
             self.slots.push(slot);
+            self.lazy = true;
         }
         Ok(slot.fetched())
     }
@@ -267,8 +283,9 @@ impl PredecodeCache {
     }
 
     /// The one invalidation rule for slots and blocks alike: a sandbox
-    /// generation change rebuilds every segment (counted in
-    /// `icache_invalidations`) and retires every translated block.
+    /// generation change rebuilds the segments (counted in
+    /// `icache_invalidations`; see [`PredecodeCache::rebuild`]) and
+    /// retires every translated block.
     pub(crate) fn validate(&mut self, mem: &Sandbox, stats: &mut VmStats) {
         if self.generation != mem.generation() {
             self.retire_blocks(stats);
@@ -333,14 +350,34 @@ impl PredecodeCache {
         self.segments.iter().position(|s| s.contains(pc))
     }
 
-    /// Rebuilds every segment from the sandbox's current executable
-    /// regions, eagerly sweeping each one into its side-table.
+    /// Rebuilds the segments from the sandbox's current executable
+    /// regions: keeps each segment that still holds what a fresh sweep
+    /// would (see the module docs) and sweeps every other region.
     fn rebuild(&mut self, mem: &Sandbox) {
+        let built = self.generation;
         self.generation = mem.generation();
-        self.segments.clear();
         self.last_segment = 0;
-        for r in mem.regions().iter().filter(|r| r.perm.executable()) {
-            self.segments.push(Segment::sweep(mem, r));
+        // Segments are in region order and regions are only appended (a
+        // restore stamps every region), so a kept segment is usually the
+        // next one.
+        let mut old: Vec<Option<Segment>> =
+            std::mem::take(&mut self.segments).into_iter().map(Some).collect();
+        let mut next = 0;
+        for (r, &stamp) in mem.regions().iter().zip(mem.stamps()) {
+            if !r.perm.executable() {
+                continue;
+            }
+            let mut kept = None;
+            if stamp <= built {
+                let found = (next..old.len())
+                    .chain(0..next)
+                    .find(|&i| old[i].as_ref().is_some_and(|s| s.start == r.start));
+                if let Some(at) = found {
+                    next = at + 1;
+                    kept = old[at].take().filter(|s| s.end == r.end && !s.lazy);
+                }
+            }
+            self.segments.push(kept.unwrap_or_else(|| Segment::sweep(mem, r)));
         }
     }
 }
@@ -350,6 +387,7 @@ mod tests {
     use super::*;
     use crate::mem::{MemFault, Perm};
     use mcfi_machine::{encode, Reg};
+    use proptest::prelude::*;
 
     fn stats() -> VmStats {
         VmStats::default()
@@ -429,6 +467,121 @@ mod tests {
             cache.fetch(&mem, 0x800, &mut st),
             Err(VmError::Mem(MemFault::Unmapped { .. }))
         ));
+    }
+
+    /// A few instructions from `seed`: immediates whose bytes decode as
+    /// other instructions, so mid-instruction pcs hold gadgets.
+    fn code(seed: u64, n: u64) -> Vec<u8> {
+        let mut x = seed;
+        let insts: Vec<Inst> = (0..1 + n % 8)
+            .map(|_| {
+                x = x
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                let r = x >> 24;
+                match r % 5 {
+                    0 => Inst::MovImm { dst: Reg::Rax, imm: (r >> 3) as i64 },
+                    1 => Inst::Nop,
+                    2 => Inst::Ret,
+                    3 => Inst::Push { reg: Reg::Rbx },
+                    _ => Inst::AddImm { dst: Reg::Rcx, imm: (r >> 8) as i32 },
+                }
+            })
+            .collect();
+        encode(&insts)
+    }
+
+    const MODEL_SIZE: u64 = 0x300;
+
+    /// Code regions back to back, and a data region right after the
+    /// first, so stores and images land next to code.
+    fn code_sandbox() -> Sandbox {
+        let mut mem = Sandbox::new(MODEL_SIZE as usize);
+        let layout = [(0, 0x60, true), (0x60, 0x20, false), (0x80, 0x50, true), (0xd0, 0x40, true)];
+        for (start, len, is_code) in layout {
+            mem.map(start, len, Perm::Rw).unwrap();
+            if is_code {
+                let mut image = Vec::new();
+                while image.len() < len as usize {
+                    image.extend(code(start + image.len() as u64, 7));
+                }
+                mem.load_image(start, &image[..len as usize]).unwrap();
+                mem.protect(start, Perm::Rx).unwrap();
+            }
+        }
+        mem
+    }
+
+    proptest! {
+        /// A cache kept across loader events serves every fetch as a
+        /// cache renewed at each generation change does (what a rebuild
+        /// did before it kept segments): the same instruction or fault,
+        /// and the same hits, misses and invalidations.
+        #[test]
+        fn an_incrementally_rebuilt_cache_equals_a_fresh_one(
+            ops in proptest::collection::vec(
+                (0u8..12, any::<u64>(), any::<u64>(), any::<u64>()),
+                1..60,
+            )
+        ) {
+            let mut mem = code_sandbox();
+            let mut snaps = Vec::new();
+            let (mut kept, mut kept_stats) = (PredecodeCache::new(), stats());
+            let (mut fresh, mut fresh_stats) = (PredecodeCache::new(), stats());
+            let mut fresh_gen = mem.generation();
+            for (op, a, b, v) in ops {
+                let regions = mem.regions().to_vec();
+                let r = regions[a as usize % regions.len()];
+                let at = r.start + b % (r.end - r.start);
+                match op {
+                    0 => {
+                        let perm = [Perm::R, Perm::Rw, Perm::Rx][v as usize % 3];
+                        let _ = mem.map(a % MODEL_SIZE, 1 + b % 0x80, perm);
+                    }
+                    1 => {
+                        let perm = [Perm::R, Perm::Rw, Perm::Rx, Perm::Rx][v as usize % 4];
+                        let _ = mem.protect(r.start, perm);
+                    }
+                    2 | 3 => {
+                        // Op 2 into a code region, op 3 into any other.
+                        let target = regions
+                            .iter()
+                            .filter(|r| (op == 2) == r.perm.executable())
+                            .nth(b as usize % 4);
+                        let addr = target.map_or(at, |t| t.start + a % (t.end - t.start));
+                        let _ = mem.load_image(addr, &code(v, a));
+                    }
+                    4 => {
+                        let _ = mem.write64(at, v);
+                    }
+                    5 => {
+                        for i in 0..1 + b % 4 {
+                            mem.raw_mut()[((at + i) % MODEL_SIZE) as usize] = (v >> (8 * i)) as u8;
+                        }
+                    }
+                    6 => snaps.push(mem.snapshot()),
+                    7 if !snaps.is_empty() => mem.restore(&snaps[a as usize % snaps.len()]),
+                    _ => {}
+                }
+                if mem.generation() != fresh_gen {
+                    fresh = PredecodeCache::new();
+                    fresh_gen = mem.generation();
+                }
+                // A pc near a region's start or end, so pcs repeat and
+                // lazily filled slots are fetched again; now and then
+                // anywhere.
+                let pc = match v % 8 {
+                    0 => v % (MODEL_SIZE + 0x10),
+                    1 | 2 => (r.end - 1).saturating_sub((v >> 8) % 12),
+                    _ => r.start + (v >> 8) % 24,
+                };
+                let got = format!("{:?}", kept.fetch(&mem, pc, &mut kept_stats));
+                let want = format!("{:?}", fresh.fetch(&mem, pc, &mut fresh_stats));
+                prop_assert_eq!(got, want, "pc {:#x}", pc);
+                let counts = |s: &VmStats| (s.icache_hits, s.icache_misses, s.icache_invalidations);
+                prop_assert_eq!(counts(&kept_stats), counts(&fresh_stats), "pc {:#x}", pc);
+            }
+        }
     }
 
     #[test]

@@ -92,6 +92,13 @@ impl std::error::Error for MemFault {}
 pub struct Sandbox {
     bytes: Vec<u8>,
     regions: Vec<Region>,
+    /// One change stamp per region: the generation at which the region's
+    /// bounds, permission or bytes last changed — set by `map`,
+    /// `protect`, `load_image` (on each region it overlaps), `raw_mut`
+    /// and `restore` (on every region). The predecode cache keeps a
+    /// region's decoded view across a generation change when its stamp
+    /// predates the view.
+    stamps: Vec<u64>,
     /// Code-visibility generation: bumped by every operation that can
     /// change what an instruction fetch observes — mapping or
     /// reprotecting regions, loader image writes, and raw mutable
@@ -151,6 +158,7 @@ impl Sandbox {
         Sandbox {
             bytes: reused.unwrap_or_else(|| vec![0; size]),
             regions: Vec::new(),
+            stamps: Vec::new(),
             generation: 0,
             data_hint: Cell::new(usize::MAX),
             dirty: vec![0; base.len().div_ceil(64)],
@@ -186,6 +194,7 @@ impl Sandbox {
         }
         self.regions.push(Region { start, end, perm });
         self.generation += 1;
+        self.stamps.push(self.generation);
         self.window = 0..0;
         Ok(())
     }
@@ -200,13 +209,14 @@ impl Sandbox {
     ///
     /// Fails if no region matches exactly.
     pub fn protect(&mut self, start: u64, perm: Perm) -> Result<(), MemFault> {
-        let r = self
+        let i = self
             .regions
-            .iter_mut()
-            .find(|r| r.start == start)
+            .iter()
+            .position(|r| r.start == start)
             .ok_or(MemFault::Unmapped { addr: start })?;
-        r.perm = perm;
+        self.regions[i].perm = perm;
         self.generation += 1;
+        self.stamps[i] = self.generation;
         self.window = 0..0;
         Ok(())
     }
@@ -219,6 +229,12 @@ impl Sandbox {
     /// All regions.
     pub fn regions(&self) -> &[Region] {
         &self.regions
+    }
+
+    /// The change stamp of each region, in [`Sandbox::regions`] order
+    /// (see the field docs).
+    pub(crate) fn stamps(&self) -> &[u64] {
+        &self.stamps
     }
 
     /// Region lookup through a last-hit hint cell.
@@ -350,6 +366,12 @@ impl Sandbox {
         self.bytes[addr as usize..end].copy_from_slice(bytes);
         self.mark(addr as usize..end);
         self.generation += 1;
+        let written = addr..end as u64;
+        for (r, stamp) in self.regions.iter().zip(&mut self.stamps) {
+            if r.start < written.end && written.start < r.end {
+                *stamp = self.generation;
+            }
+        }
         Ok(())
     }
 
@@ -407,8 +429,9 @@ impl Sandbox {
     /// become the base of the next one, and every page is clean.
     ///
     /// The generation counter is *not* restored: it keeps counting
-    /// forward, so predecode caches built against the discarded state can
-    /// never validate against the restored one.
+    /// forward, and every region is stamped with the new generation, so
+    /// predecode caches built against the discarded state can never
+    /// validate against the restored one, nor keep any part of it.
     ///
     /// # Panics
     ///
@@ -423,6 +446,8 @@ impl Sandbox {
         self.base.clone_from(&snap.pages);
         self.regions.clone_from(&snap.regions);
         self.generation += 1;
+        self.stamps.clear();
+        self.stamps.resize(self.regions.len(), self.generation);
         self.data_hint.set(usize::MAX);
         self.dirty.fill(0);
         self.window = 0..0;
@@ -436,6 +461,7 @@ impl Sandbox {
         // every cached decoding is suspect afterwards, and every page is
         // dirty.
         self.generation += 1;
+        self.stamps.fill(self.generation);
         self.dirty.fill(!0);
         &mut self.bytes
     }
