@@ -445,6 +445,28 @@ mod tests {
     }
 
     #[test]
+    fn a_second_definition_of_a_loaded_function_is_refused() {
+        let mut p = boot(
+            "void* dlsym(char* name);\n\
+             int main(void) {\n\
+               int (*f)(int) = (int(*)(int))dlsym(\"dup\");\n\
+               if (!f) { return -1; }\n\
+               return f(1);\n\
+             }",
+        );
+        p.load(compile("liba", "int dup(int x) { return x + 10; }")).unwrap();
+        let (loaded, policy) = (p.loaded(), format!("{:?}", p.current_policy()));
+        let err = p.load(compile("libb", "int dup(int x) { return x + 20; }")).unwrap_err();
+        assert_eq!(err, LoadError::DuplicateSymbol("dup".into()));
+        assert_eq!(p.loaded(), loaded);
+        assert_eq!(format!("{:?}", p.current_policy()), policy);
+        // `dlsym` hands out liba's entry, and the policy lets the host
+        // call it.
+        let r = p.run("__start").unwrap();
+        assert_eq!(r.outcome, Outcome::Exit { code: 11 }, "stdout: {}", r.stdout);
+    }
+
+    #[test]
     fn loader_rejects_bary_overflow() {
         let mut p = Process::new(ProcessOptions { bary_capacity: 1, ..Default::default() }).expect("valid layout");
         let m = compile("m", "int a(void) { return 1; }\nint b(void) { return 2; }");

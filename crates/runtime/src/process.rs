@@ -384,6 +384,11 @@ pub enum LoadError {
     Unresolved(String),
     /// Type environments of modules clash.
     TypeClash(String),
+    /// The module defines a non-static function that a loaded module
+    /// already defines: `dlsym` would resolve the name to the first
+    /// definition and the CFG to the last (the static linker refuses the
+    /// same case).
+    DuplicateSymbol(String),
     /// Too many indirect branches for the configured Bary capacity.
     BaryOverflow,
     /// A memory operation failed during loading.
@@ -408,6 +413,7 @@ impl fmt::Display for LoadError {
             LoadError::OutOfSpace(what) => write!(f, "{what} region exhausted"),
             LoadError::Unresolved(s) => write!(f, "unresolved symbol `{s}`"),
             LoadError::TypeClash(s) => write!(f, "type clash: {s}"),
+            LoadError::DuplicateSymbol(s) => write!(f, "`{s}` is defined by a loaded module"),
             LoadError::BaryOverflow => write!(f, "bary capacity exceeded"),
             LoadError::Mem(s) => write!(f, "loader memory fault: {s}"),
             LoadError::Rejected(s) => write!(f, "module verifier rejected the image: {s}"),
@@ -1332,6 +1338,14 @@ impl Process {
     }
 
     fn load_no_update(&mut self, module: Arc<Module>) -> Result<(), LoadError> {
+        if let Some(name) = module
+            .functions
+            .iter()
+            .find(|(name, f)| f.size > 0 && !f.is_static && self.symbol(name).is_some())
+            .map(|(name, _)| name)
+        {
+            return Err(LoadError::DuplicateSymbol(name.clone()));
+        }
         // The union of auxiliary type information must be consistent
         // before any state changes (paper §6: merging is a union).
         self.state.env.merge(&module.aux.env).map_err(|e| LoadError::TypeClash(e.to_string()))?;
