@@ -8,10 +8,12 @@
 //! run-to-run; there is no shrinking — a failing case reports its index and
 //! message and panics.
 //!
-//! Like the real crate, the runner honors `<source>.proptest-regressions`
-//! files: persisted `cc <hex>` seeds are replayed *before* any fresh
-//! cases, and a fresh failure prints the `cc` line to persist (see the
-//! [`regression`] module for the format this shim reads and writes).
+//! Like the real crate, the default case count honors the
+//! `PROPTEST_CASES` environment variable, and the runner honors
+//! `<source>.proptest-regressions` files: persisted `cc <hex>` seeds are
+//! replayed *before* any fresh cases, and a fresh failure prints the `cc`
+//! line to persist (see the [`regression`] module for the format this
+//! shim reads and writes).
 
 #![forbid(unsafe_code)]
 
@@ -56,8 +58,12 @@ pub struct ProptestConfig {
 }
 
 impl Default for ProptestConfig {
+    /// 64 cases, unless the `PROPTEST_CASES` environment variable holds
+    /// another count: as in the real crate, it sets the default, and a
+    /// property that names its own `cases` keeps them.
     fn default() -> Self {
-        ProptestConfig { cases: 64, max_shrink_iters: 1024 }
+        let cases = std::env::var("PROPTEST_CASES").ok().and_then(|n| n.parse().ok());
+        ProptestConfig { cases: cases.unwrap_or(64), max_shrink_iters: 1024 }
     }
 }
 
