@@ -35,8 +35,8 @@
 //! Blocks live in the predecode cache's per-region segments, beside the
 //! slots translation reads its instructions from, so they ride the same
 //! correctness argument: every code-byte mutation funnels through
-//! `Sandbox::{map, protect, load_image, raw_mut}`, each of which bumps
-//! the sandbox generation. Every dispatch runs the cache's one
+//! `Sandbox::{map, protect, load_image, raw_mut, restore}`, each of
+//! which bumps the sandbox generation. Every dispatch runs the cache's one
 //! generation compare; a mismatch rebuilds the slots and *deoptimizes*
 //! — all blocks are retired and retranslation happens lazily (and is
 //! counted as such) the next time a pc is dispatched. The
