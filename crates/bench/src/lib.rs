@@ -158,8 +158,9 @@ pub fn fig5_overheads(arch: Arch) -> Vec<OverheadSample> {
 /// region (1 MiB = 262144 entries) streamed at 16 entries per cycle with
 /// `movnti`-style stores — the paper's parallel memory-copy mechanism.
 /// It models the paper's updater, which rewrites the whole table, so it
-/// stays fixed although the runtime's own re-stamps stop at each
-/// table's high-water mark; Fig. 6 stays comparable with the paper.
+/// stays fixed although the runtime's own re-stamps walk only the words
+/// each table lists as possibly nonzero; Fig. 6 stays comparable with
+/// the paper.
 pub const UPDATE_COST_CYCLES: u64 = 262_144 / 16;
 
 /// Runs one benchmark under MCFI with update transactions scripted at

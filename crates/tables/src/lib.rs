@@ -28,15 +28,16 @@
 //! is the retry loop around [`IdTables::check_once`], one speculative
 //! attempt.
 //!
-//! Each shard keeps a high-water mark per table, one past the last word
-//! that may be nonzero, so a transaction scans only what was written:
-//! an install up to the larger of the mark and the new policy's end,
-//! every re-stamp up to the mark. [`IdTables::update_sorted`], which
-//! walks a policy given as sorted entries, is what the runtime installs
-//! with; the closure-based [`IdTables::update`] asks about every entry
-//! and is the reference the tests compare it against. Dropped tables
-//! hand their words back to the sync facade, which production code
-//! reuses for the next table.
+//! Each shard lists, per table, the ascending indices of the words that
+//! may be nonzero, so a transaction writes only those: an install walks
+//! the merge of its new policy's entries, the shard's list and, for a
+//! delta, the base's; every re-stamp walks the list.
+//! [`IdTables::update_sorted`], which takes a policy as sorted entries,
+//! is what the runtime installs with; the closure-based
+//! [`IdTables::update`] asks about every entry, writes every word, and is
+//! the reference the tests compare it against. Dropped tables hand their
+//! words back to the sync facade, which production code reuses for the
+//! next table after zeroing the listed words.
 //!
 //! The [`stm`] module contains the alternative synchronization strategies
 //! the paper micro-benchmarks against (TML, a readers-writer lock, and a

@@ -125,9 +125,9 @@ pub trait SyncFacade: 'static + fmt::Debug {
         (0..len).map(|_| <Self::AtomicU32 as AtomicU32Ops>::new(0)).collect()
     }
 
-    /// Takes back the words of a dropped table, of which only
-    /// `words[..written]` may be nonzero. By default they are freed.
-    fn free_words(words: Vec<Self::AtomicU32>, written: usize) {
+    /// Takes back the words of a dropped table, of which only those at
+    /// the indices `written` may be nonzero. By default they are freed.
+    fn free_words(words: Vec<Self::AtomicU32>, written: &[usize]) {
         let _ = (words, written);
     }
 }
@@ -237,8 +237,8 @@ impl<T: Send + fmt::Debug> MutexOps<T> for parking_lot::Mutex<T> {
 }
 
 /// The words of dropped production tables, each array zeroed, for
-/// [`StdSync::alloc_words`] to hand out again. Only the pages a table's
-/// policies wrote are zeroed on the way in, where a fresh zeroed
+/// [`StdSync::alloc_words`] to hand out again. Only the words a table
+/// lists as possibly nonzero are zeroed on the way in, where a fresh zeroed
 /// allocation of a size the allocator recycles would be zeroed whole, so
 /// a new table costs the pages its own policies write.
 static FREE_WORDS: std::sync::Mutex<Vec<Vec<std::sync::atomic::AtomicU32>>> =
@@ -277,11 +277,11 @@ impl SyncFacade for StdSync {
         reused.unwrap_or_else(|| vec![0; len].into_iter().map(Self::AtomicU32::new).collect())
     }
 
-    fn free_words(words: Vec<Self::AtomicU32>, written: usize) {
+    fn free_words(words: Vec<Self::AtomicU32>, written: &[usize]) {
         // The pool's mutex publishes the zeros to whichever thread takes
         // the array next.
-        for word in &words[..written] {
-            word.store(0, Ordering::Relaxed);
+        for &i in written {
+            words[i].store(0, Ordering::Relaxed);
         }
         word_pool().push(words);
     }

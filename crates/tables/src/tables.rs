@@ -1,6 +1,6 @@
 //! The Bary/Tary ID tables and the two table transactions (paper §5).
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
 use mcfi_chaos::{ChaosInjector, FaultPoint};
@@ -134,13 +134,14 @@ pub enum WatchdogVerdict {
 pub struct IdTablesAt<S: SyncFacade = StdSync> {
     tary: Vec<S::AtomicU32>,
     bary: Vec<S::AtomicU32>,
-    /// The high-water marks, Tary then Bary: one past the last word of
-    /// each table that may be nonzero, so every word from the mark on is
-    /// 0. Transactions scan a table only up to its mark (and an install
-    /// also up to its new policy's end). Written only under the update
-    /// lock, or before the shard is registered; bookkeeping that no check
-    /// reads, so plain `std` atomics, never schedule points.
-    marks: [AtomicUsize; 2],
+    /// The listed words, Tary then Bary: the ascending indices of the
+    /// words of each table that may be nonzero, so every word not listed
+    /// is 0. Transactions walk only these (and an install also its new
+    /// policy's entries). Written only under the update lock, or before
+    /// the shard is registered; bookkeeping that no check reads, so
+    /// behind a plain mutex, never a schedule point, and never held
+    /// across one.
+    listed: [Mutex<Vec<usize>>; 2],
     /// The transaction-protocol head (version, update lock, lease,
     /// publication epoch, shard registry). Private tables own their core
     /// exclusively; every shard of a shared image — the base and all
@@ -285,7 +286,7 @@ enum Side {
 }
 
 impl Side {
-    /// The side's index into a shard's marks.
+    /// The side's index into a shard's listed words.
     fn index(self) -> usize {
         match self {
             Side::Tary => 0,
@@ -336,7 +337,7 @@ impl<S: SyncFacade> IdTablesAt<S> {
         IdTablesAt {
             tary: S::alloc_words(config.code_size.div_ceil(4)),
             bary: S::alloc_words(config.bary_slots),
-            marks: [AtomicUsize::new(0), AtomicUsize::new(0)],
+            listed: [Mutex::new(Vec::new()), Mutex::new(Vec::new())],
             core,
             base,
             retries: AtomicU64::new(0),
@@ -473,47 +474,53 @@ impl<S: SyncFacade> IdTablesAt<S> {
         self.words(side).get(i).map_or(0, |slot| slot.load(Ordering::Relaxed))
     }
 
-    /// This shard's `side` mark: every word from it on is 0.
-    fn mark(&self, side: Side) -> usize {
-        self.marks[side.index()].load(Ordering::Relaxed)
+    /// This shard's listed `side` words: the ascending indices of the
+    /// words that may be nonzero. A copy, so that no walk holds the lock
+    /// across a schedule point.
+    fn listed(&self, side: Side) -> Vec<usize> {
+        self.listed[side.index()].lock().clone()
     }
 
-    fn set_mark(&self, side: Side, mark: usize) {
-        self.marks[side.index()].store(mark, Ordering::Relaxed);
-    }
-
-    /// The words of this shard's `side` table that may be nonzero: the
-    /// part re-stamps and repairs scan.
-    fn marked(&self, side: Side) -> &[S::AtomicU32] {
-        &self.words(side)[..self.mark(side)]
+    fn set_listed(&self, side: Side, listed: Vec<usize>) {
+        *self.listed[side.index()].lock() = listed;
     }
 
     /// The install loop of one phase: writes this shard's new `side`
-    /// policy, `ecn_of(i)` being entry `i`'s ECN or `None`, asked once
-    /// per entry in index order. The policy has no entry from `extent`
-    /// on, so the loop stops at the larger of `extent` and the words that
-    /// may be nonzero — this shard's mark and, for a delta, the base's —
-    /// and every word past it is 0 before and after. A private table (or
-    /// the image base) stores the encoded IDs directly; a delta shard
+    /// policy, given as `(index, ECN)` entries in strictly ascending
+    /// index order, every index inside the table. With `full_scan` (the
+    /// reference) it walks every word of the table; otherwise the
+    /// ascending merge of the entries' indices, this shard's listed words
+    /// and, for a delta, the base's, since every other word is 0 before
+    /// and after. Each word it walks is computed alike: a private table
+    /// (or the image base) stores the encoded IDs directly; a delta shard
     /// diffs against the base — equal words compress to 0 (fall
-    /// through), revoked base targets get the [`TOMBSTONE`]. Sets the
-    /// mark and returns the policy's entry count.
+    /// through), revoked base targets get the [`TOMBSTONE`]. The list
+    /// widens to the merge before the walk, so a transaction killed
+    /// mid-walk leaves every word that may be nonzero listed, and shrinks
+    /// to the words left nonzero after it. Returns the policy's entry
+    /// count.
     fn install(
         &self,
         side: Side,
-        extent: usize,
-        mut ecn_of: impl FnMut(usize) -> Option<u32>,
+        entries: &[(usize, u32)],
+        full_scan: bool,
         version: Version,
     ) -> usize {
         let words = self.words(side);
-        let base_mark = self.base.as_ref().map_or(0, |b| b.mark(side));
-        let end = extent.max(self.mark(side)).max(base_mark).min(words.len());
-        // Until the loop ends, any word below `end` may be nonzero.
-        self.set_mark(side, end);
-        let (mut installed, mut mark) = (0, 0);
-        for (i, slot) in words[..end].iter().enumerate() {
-            let word = match ecn_of(i) {
-                Some(ecn) => {
+        let mut walk: Vec<usize> = entries.iter().map(|&(i, _)| i).collect();
+        walk.extend(self.listed(side));
+        if let Some(b) = &self.base {
+            walk.extend(b.listed(side));
+        }
+        // A stable sort merges the three ascending runs in linear time.
+        walk.sort();
+        walk.dedup();
+        self.set_listed(side, walk.clone());
+        let mut entries = entries.iter().peekable();
+        let (mut installed, mut nonzero) = (0, Vec::new());
+        let mut store = |i: usize| {
+            let word = match entries.next_if(|&&(at, _)| at == i) {
+                Some(&(_, ecn)) => {
                     installed += 1;
                     let encoded = Id::encode(Ecn::new(ecn), version).word();
                     match &self.base {
@@ -527,18 +534,25 @@ impl<S: SyncFacade> IdTablesAt<S> {
                 },
             };
             if word != 0 {
-                mark = i + 1;
+                nonzero.push(i);
             }
-            slot.store(word, side.order());
+            words[i].store(word, side.order());
+        };
+        if full_scan {
+            (0..words.len()).for_each(&mut store);
+        } else {
+            walk.into_iter().for_each(&mut store);
         }
-        self.set_mark(side, mark);
+        self.set_listed(side, nonzero);
         installed
     }
 
-    /// Re-stamps the words of this shard's `side` table below its mark
-    /// (see [`Side::restamp`]); returns how many IDs it wrote.
+    /// Re-stamps this shard's listed `side` words (see
+    /// [`Side::restamp`]); returns how many IDs it wrote.
     fn restamp(&self, side: Side, version: Version, stale_only: bool) -> usize {
-        self.marked(side).iter().filter(|slot| side.restamp(*slot, version, stale_only)).count()
+        let words = self.words(side);
+        let listed = self.listed(side);
+        listed.into_iter().filter(|&i| side.restamp(&words[i], version, stale_only)).count()
     }
 
     /// One phase of a CFG-changing transaction: this shard installs its
@@ -549,14 +563,14 @@ impl<S: SyncFacade> IdTablesAt<S> {
         &self,
         shards: &TxShards<'_, S>,
         side: Side,
-        extent: usize,
-        mut ecn_of: impl FnMut(usize) -> Option<u32>,
+        entries: &[(usize, u32)],
+        full_scan: bool,
         version: Version,
     ) -> usize {
         let mut installed = 0;
         for shard in shards.list() {
             if std::ptr::eq(shard, self) {
-                installed = self.install(side, extent, &mut ecn_of, version);
+                installed = self.install(side, entries, full_scan, version);
             } else {
                 shard.restamp(side, version, false);
             }
@@ -600,12 +614,14 @@ impl<S: SyncFacade> IdTablesAt<S> {
             Some(Arc::clone(self)),
         ));
         for side in [Side::Tary, Side::Bary] {
-            for (i, slot) in delta.words(side)[..self.mark(side)].iter().enumerate() {
+            let mut written = Vec::new();
+            for i in self.listed(side) {
                 if let Some(id) = Id::from_word(self.raw_word(side, i)) {
-                    slot.store(Id::encode(id.ecn(), stale).word(), side.order());
+                    delta.words(side)[i].store(Id::encode(id.ecn(), stale).word(), side.order());
+                    written.push(i);
                 }
             }
-            delta.set_mark(side, self.mark(side));
+            delta.set_listed(side, written);
         }
         delta.register_shard();
         delta
@@ -1041,9 +1057,11 @@ impl<S: SyncFacade> IdTablesAt<S> {
     /// table — so a concurrent check observes either the old version in
     /// both tables or the new version in both, never a mix that validates.
     ///
-    /// This closure-based form asks about every entry of both tables: it
-    /// is the full-scan reference for [`IdTablesAt::update_sorted`], which
-    /// the runtime's policy installs use.
+    /// This closure-based form asks about every entry of both tables, in
+    /// index order and before the transaction opens, and writes every
+    /// word: it is the full-scan reference for
+    /// [`IdTablesAt::update_sorted`], which the runtime's policy installs
+    /// use.
     pub fn update(
         &self,
         tary_ecn: impl Fn(u64) -> Option<u32>,
@@ -1063,50 +1081,57 @@ impl<S: SyncFacade> IdTablesAt<S> {
         bary_ecn: impl Fn(usize) -> Option<u32>,
         between: impl FnOnce(),
     ) -> UpdateStats {
-        self.update_tx(
-            (self.tary.len(), |i| tary_ecn(i as u64 * 4)),
-            (self.bary.len(), bary_ecn),
-            between,
-        )
+        let tary = scan(self.tary.len(), |i| tary_ecn(i as u64 * 4));
+        let bary = scan(self.bary.len(), bary_ecn);
+        self.update_tx(&tary, &bary, true, between)
     }
 
     /// The `TxUpdate` transaction of [`IdTablesAt::update_with`] over a
     /// policy given as sorted entries: `tary` holds each target's code
-    /// address and ECN in ascending address order, and `bary[s]` is the
-    /// ECN of Bary slot `s` (slots past its end get none). It leaves the
-    /// same words and returns the same statistics as `update_with` with
-    /// the matching lookups, but walks `tary` with a cursor, and scans
-    /// each table only up to the larger of the new policy's end and the
-    /// words that may still hold an old entry (the shard's high-water
-    /// mark, and for a delta the base's); sibling shards are re-stamped
-    /// up to their own marks. So the transaction costs the loaded code,
-    /// not the reserved region.
+    /// address and ECN in strictly ascending address order, and `bary[s]`
+    /// is the ECN of Bary slot `s` (slots past its end get none). It
+    /// leaves the same words and returns the same statistics as
+    /// `update_with` with the matching lookups, but writes only the words
+    /// that may be nonzero before or after: the new policy's entries, the
+    /// shard's listed words and, for a delta, the base's; sibling shards
+    /// are re-stamped over their own listed words. So the transaction
+    /// costs the policy, not the loaded code or the reserved region.
+    ///
+    /// # Panics
+    ///
+    /// Panics, before the transaction opens, if the `tary` addresses do
+    /// not strictly ascend: the walk would pass over an old word there
+    /// and could leave a revoked target valid.
     pub fn update_sorted(
         &self,
         tary: &[(u64, u32)],
         bary: &[u32],
         between: impl FnOnce(),
     ) -> UpdateStats {
-        debug_assert!(tary.is_sorted_by_key(|&(addr, _)| addr), "tary entries ascend");
-        let extent = tary.last().map_or(0, |&(addr, _)| (addr / 4) as usize + 1);
-        let mut cursor = tary.iter().peekable();
-        let tary_ecn = move |i: usize| {
-            let addr = i as u64 * 4;
-            // Entries the aligned scan never asks about (unaligned ones)
-            // are passed over, as the full scan never sees them.
-            while cursor.next_if(|&&(a, _)| a < addr).is_some() {}
-            cursor.next_if(|&&(a, _)| a == addr).map(|&(_, ecn)| ecn)
-        };
-        self.update_tx((extent, tary_ecn), (bary.len(), |s| bary.get(s).copied()), between)
+        assert!(
+            tary.windows(2).all(|w| w[0].0 < w[1].0),
+            "update_sorted: the tary addresses must strictly ascend"
+        );
+        // Entries the full scan never asks about (unaligned ones, and ones
+        // past the table) are passed over.
+        let tary: Vec<(usize, u32)> = tary
+            .iter()
+            .filter(|&&(addr, _)| addr.is_multiple_of(4) && addr / 4 < self.tary.len() as u64)
+            .map(|&(addr, ecn)| ((addr / 4) as usize, ecn))
+            .collect();
+        let bary: Vec<(usize, u32)> =
+            bary.iter().copied().take(self.bary.len()).enumerate().collect();
+        self.update_tx(&tary, &bary, false, between)
     }
 
-    /// The body every CFG-changing update shares: each side is the new
-    /// policy's extent (no entry from it on) and the ECN of each entry
-    /// index, asked in index order.
+    /// The body every CFG-changing update shares: each side's new policy
+    /// as `(index, ECN)` entries in strictly ascending index order, and
+    /// whether the installs walk every word (see [`IdTablesAt::install`]).
     fn update_tx(
         &self,
-        (tary_extent, tary_ecn): (usize, impl FnMut(usize) -> Option<u32>),
-        (bary_extent, bary_ecn): (usize, impl FnMut(usize) -> Option<u32>),
+        tary: &[(usize, u32)],
+        bary: &[(usize, u32)],
+        full_scan: bool,
         between: impl FnOnce(),
     ) -> UpdateStats {
         let (_guard, version) = self.begin_tx(None);
@@ -1121,8 +1146,7 @@ impl<S: SyncFacade> IdTablesAt<S> {
         // re-stamped in place — one version bump retargets them all. The
         // base is always first in the shard list, so a delta's diff
         // compares against already-restamped base words.
-        let tary_targets =
-            self.install_phase(&shards, Side::Tary, tary_extent, tary_ecn, version);
+        let tary_targets = self.install_phase(&shards, Side::Tary, tary, full_scan, version);
 
         // The memory write barrier separating the two phases (Fig. 3 line
         // 5): all Tary writes become visible before any Bary write.
@@ -1135,8 +1159,7 @@ impl<S: SyncFacade> IdTablesAt<S> {
         self.chaos_stall();
 
         // Phase 2: rewrite the Bary table.
-        let bary_branches =
-            self.install_phase(&shards, Side::Bary, bary_extent, bary_ecn, version);
+        let bary_branches = self.install_phase(&shards, Side::Bary, bary, full_scan, version);
         self.commit_tx(version, tary_targets, bary_branches)
     }
 
@@ -1170,22 +1193,22 @@ impl<S: SyncFacade> IdTablesAt<S> {
         let shards = self.tx_shards();
         let mut tary_targets = 0;
         // `flat` indexes the concatenated Tary stream across shards (each
-        // scanned from entry 0 up to its mark), so a `torn-tary` fault
-        // parameter addresses a tear point anywhere in a shared image's
-        // sweep (and degenerates to the plain entry index for a private
-        // table).
+        // walking its listed words in ascending order), so a `torn-tary`
+        // fault parameter addresses a tear point anywhere in a shared
+        // image's sweep (and counts the listed words of a private table).
         let mut flat: u64 = 0;
         for shard in shards.list() {
-            for (i, slot) in shard.marked(Side::Tary).iter().enumerate() {
+            let words = shard.words(Side::Tary);
+            for (n, i) in shard.listed(Side::Tary).into_iter().enumerate() {
                 if torn_after == Some(flat) {
-                    // The Tary stream tears here: entries before `flat`
-                    // carry the new version, the rest (and all of Bary)
-                    // the old one.
+                    // The Tary stream tears here: the words walked before
+                    // `flat` carry the new version, the rest (and all of
+                    // Bary) the old one.
                     return self.abandon_tx(version, tary_targets);
                 }
                 flat += 1;
-                tary_targets += usize::from(Side::Tary.restamp(slot, version, false));
-                if chunk > 0 && i % chunk == chunk - 1 {
+                tary_targets += usize::from(Side::Tary.restamp(&words[i], version, false));
+                if chunk > 0 && n % chunk == chunk - 1 {
                     // Yield the core: on few-core hosts this is what lets
                     // the checking threads actually observe the mixed-
                     // version window, as they would on the paper's
@@ -1318,10 +1341,11 @@ impl<S: SyncFacade> IdTablesAt<S> {
         let _guard = self.core.update_lock.lock();
         // BUG: no version bump.
         let version = self.current_version();
-        let tary_targets =
-            self.install(Side::Tary, self.tary.len(), |i| tary_ecn(i as u64 * 4), version);
+        let tary = scan(self.tary.len(), |i| tary_ecn(i as u64 * 4));
+        let tary_targets = self.install(Side::Tary, &tary, true, version);
         S::fence(Ordering::SeqCst);
-        let bary_branches = self.install(Side::Bary, self.bary.len(), bary_ecn, version);
+        let bary = scan(self.bary.len(), bary_ecn);
+        let bary_branches = self.install(Side::Bary, &bary, true, version);
         self.commit_tx(version, tary_targets, bary_branches)
     }
 
@@ -1351,17 +1375,24 @@ impl<S: SyncFacade> IdTablesAt<S> {
 
 impl<S: SyncFacade> Drop for IdTablesAt<S> {
     /// Hands both tables' words back to the facade, which may reuse them
-    /// for a later table: only the words below each mark can be nonzero.
+    /// for a later table: only the listed words can be nonzero.
     fn drop(&mut self) {
         for side in [Side::Tary, Side::Bary] {
-            let mark = self.mark(side);
+            let listed = self.listed(side);
             let words = match side {
                 Side::Tary => &mut self.tary,
                 Side::Bary => &mut self.bary,
             };
-            S::free_words(std::mem::take(words), mark);
+            S::free_words(std::mem::take(words), &listed);
         }
     }
+}
+
+/// The full-scan reference's view of one table's policy: asks `ecn_of`
+/// about every entry below `len`, in index order, and keeps the entries
+/// that get an ECN.
+fn scan(len: usize, ecn_of: impl Fn(usize) -> Option<u32>) -> Vec<(usize, u32)> {
+    (0..len).filter_map(|i| Some((i, ecn_of(i)?))).collect()
 }
 
 /// An in-flight version re-stamp paused between its Tary and Bary
@@ -1727,10 +1758,16 @@ mod tests {
     fn torn_tary_fault_is_repaired_preserving_ecns() {
         let t = demo_tables();
         let before: Vec<_> = t.tary_view().targets().map(|(a, id)| (a, id.ecn())).collect();
+        // The tear comes after the first of the three listed Tary words:
+        // address 8 carries the new version, 16 and 20 the old one.
         t.arm_chaos(ChaosInjector::arm(
-            mcfi_chaos::FaultPlan::new().with(FaultPoint::TornTary, 1, 3),
+            mcfi_chaos::FaultPlan::new().with(FaultPoint::TornTary, 1, 1),
         ));
         let stats = t.bump_version();
+        let version = |addr| t.tary_view().id_at(addr).expect("a target").version();
+        assert_eq!(version(8), t.current_version());
+        assert_ne!(version(16), t.current_version());
+        assert_ne!(version(20), t.current_version());
         assert!(!stats.completed, "the bump must abort at the tear");
         assert!(t.has_abandoned());
         assert!(t.repair_abandoned(), "skewed entries must need repair");
@@ -2225,12 +2262,13 @@ mod tests {
         (tary, bary)
     }
 
-    /// Each table's mark is one past its last nonzero word.
-    fn marks_hold(t: &IdTables) -> Result<(), TestCaseError> {
+    /// Each table's list is exactly the indices of its nonzero words.
+    fn lists_hold(t: &IdTables) -> Result<(), TestCaseError> {
         for side in [Side::Tary, Side::Bary] {
-            let words: Vec<u32> = t.words(side).iter().map(|w| w.load(Ordering::Relaxed)).collect();
-            let last = words.iter().rposition(|&w| w != 0);
-            prop_assert_eq!(t.mark(side), last.map_or(0, |i| i + 1));
+            let words = t.words(side).iter().map(|w| w.load(Ordering::Relaxed));
+            let nonzero: Vec<usize> =
+                words.enumerate().filter(|&(_, w)| w != 0).map(|(i, _)| i).collect();
+            prop_assert_eq!(t.listed(side), nonzero);
         }
         Ok(())
     }
@@ -2239,8 +2277,8 @@ mod tests {
     /// shared image with two deltas — installing each policy through the
     /// full-scan `update` on the first and `update_sorted` on the second.
     /// After every step both must hold the same words and report the same
-    /// statistics, each mark must sit one past its table's last nonzero
-    /// word, and every Bary slot the policy covers must hold a valid ID.
+    /// statistics, each list must be exactly its table's nonzero words,
+    /// and every Bary slot the policy covers must hold a valid ID.
     fn run_sorted_against_full_scan(shared: bool, ops: &[(u8, u64)]) -> Result<(), TestCaseError> {
         let set_up = || match shared {
             true => {
@@ -2284,8 +2322,8 @@ mod tests {
                 }
             }
             for (f, s) in full.iter().zip(&sorted) {
-                marks_hold(f)?;
-                marks_hold(s)?;
+                lists_hold(f)?;
+                lists_hold(s)?;
                 for side in [Side::Tary, Side::Bary] {
                     let words = |t: &IdTables| -> Vec<u32> {
                         t.words(side).iter().map(|w| w.load(Ordering::Relaxed)).collect()
@@ -2297,9 +2335,30 @@ mod tests {
         Ok(())
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+    #[test]
+    #[should_panic(expected = "strictly ascend")]
+    fn update_sorted_refuses_misordered_targets() {
+        let t = demo_tables();
+        // 16 before 8: a merge walk could pass over the old word at 8.
+        t.update_sorted(&[(16, 1), (8, 1)], &[1], || {});
+    }
 
+    #[test]
+    fn a_refused_sorted_update_leaves_the_tables_untouched() {
+        let t = demo_tables();
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            t.update_sorted(&[(8, 2), (8, 2)], &[2], || {});
+        }));
+        assert!(refused.is_err(), "a repeated address is refused too");
+        assert_eq!(t.current_version(), Version::new(1), "no transaction opened");
+        assert!(!t.has_abandoned());
+        assert_eq!(t.check(0, 8), Ok(Ecn::new(1)), "the old policy holds");
+        // The next update installs normally.
+        assert!(t.update_sorted(&[(8, 2)], &[2], || {}).completed);
+        assert_eq!(t.check(0, 8), Ok(Ecn::new(2)));
+    }
+
+    proptest! {
         #[test]
         fn transactions_match_a_flat_model(
             ops in proptest::collection::vec((0u8..8, any::<u64>()), 1..40)
