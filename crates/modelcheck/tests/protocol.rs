@@ -288,9 +288,9 @@ fn crash_sweep_holds_phase_invariant_at_every_kill_site() {
         sweep.counterexample.unwrap()
     );
     // The updater passes over a dozen schedule points (lock, version,
-    // the 5 Tary words below the mark, fence, Bary) — the sweep must
+    // the 2 listed Tary words, fence, Bary, commit) — the sweep must
     // actually have walked them rather than stopping at the door.
-    assert_eq!(sweep.sites, 15, "the updater's crash sites moved (see the module docs)");
+    assert_eq!(sweep.sites, 12, "the updater's crash sites moved (see the module docs)");
     assert!(sweep.schedules > sweep.sites, "sweep must run many schedules per site");
 }
 
@@ -568,7 +568,7 @@ fn crash_sweep_watchdog_heals_every_kill_site() {
         "watchdog counterexample:\n{}",
         sweep.counterexample.unwrap()
     );
-    assert_eq!(sweep.sites, 17, "the leased updater's crash sites moved (see the module docs)");
+    assert_eq!(sweep.sites, 14, "the leased updater's crash sites moved (see the module docs)");
     assert!(
         heals.load(Ordering::Relaxed) > 0,
         "no kill site ever left an expired lease for the watchdog to heal"
