@@ -41,8 +41,14 @@ pub enum FaultPoint {
     /// The updater stalls between the two phases while holding the
     /// update lock for `param` microseconds.
     UpdaterStall,
-    /// The Tary rewrite stops ("tears") after `param` entries, then the
-    /// updater crashes, leaving a partially written Tary table.
+    /// A version re-stamp's Tary phase stops ("tears") after `param` of
+    /// the words it walks, then the updater crashes, leaving a partially
+    /// written Tary table. The re-stamp walks only the words that may be
+    /// nonzero, in ascending order (a shared image's shards one after
+    /// another, base first), so the words before the tear carry the new
+    /// version and the rest of Tary and all of Bary the old one; on a
+    /// private table that is exactly `param` IDs. A `param` at or past the
+    /// walk's length tears nothing and the re-stamp completes.
     TornTary,
     /// The global version counter is warped to `VERSION_LIMIT - param`
     /// before the next update, forcing a 14-bit wraparound.

@@ -69,6 +69,34 @@ fn abandoned_update_stalls_the_guest_until_repair() {
     assert_eq!(recovered.check_retries, 0);
 }
 
+/// A torn Tary stream tears inside the loaded code: the tear index
+/// counts the words a re-stamp walks (the ones that may hold an ID), not
+/// every entry from address 0, which lies below the code. So
+/// `torn-tary@1(3)` leaves exactly three Tary IDs at the new version, and
+/// one repair brings every ID to one version.
+#[test]
+fn a_torn_tary_stream_skews_exactly_the_ids_before_the_tear() {
+    let mut sys = System::boot_source(SPIN_SRC, &opts()).expect("boots");
+    let baseline = sys.run().expect("runs");
+    sys.process().arm_chaos(FaultPlan::new().with(FaultPoint::TornTary, 1, 3));
+    let tables = sys.process().tables();
+    let versions =
+        || -> Vec<_> { tables.tary_view().targets().map(|(_, id)| id.version()).collect() };
+    assert!(versions().len() > 3, "the process has more targets than the tear skews");
+
+    let torn = tables.bump_version();
+    assert!(!torn.completed, "the planned tear aborts the re-stamp");
+    assert!(tables.has_abandoned());
+    let current = tables.current_version();
+    let skewed = versions().into_iter().filter(|&v| v == current).count();
+    assert_eq!(skewed, 3, "the IDs before the tear carry the new version, the rest the old");
+
+    assert!(tables.repair_abandoned());
+    assert!(versions().into_iter().all(|v| v == current), "the repair re-stamps every ID");
+    let recovered = sys.run().expect("runs");
+    assert_eq!(recovered.outcome, baseline.outcome);
+}
+
 /// A module the verifier rejects mid-`dlopen` is rolled back completely:
 /// the guest sees `dlopen` fail, retries, and the second attempt (the
 /// planned fault is spent) succeeds — same process, no restart.

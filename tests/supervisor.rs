@@ -181,9 +181,11 @@ fn every_fault_point_fires_and_the_supervised_outcome_still_converges() {
     assert_eq!(r.outcome, baseline.outcome, "leg 2 converges");
     assert!(r.tx_lease_repairs >= 1, "the watchdog repaired the abandoned lease");
 
-    // Leg 3 — a torn Tary stream (the crash occurrence is spent) skews a
-    // prefix of the table. Whether or not the guest's hot entries land
-    // in the skewed prefix, the supervised outcome must not change.
+    // Leg 3 — a torn Tary stream (the crash occurrence is spent) re-stamps
+    // the three lowest Tary IDs and tears: those carry the new version,
+    // every other ID the old one. A check that reaches one of the three
+    // retries until the tables are repaired; whether or not the guest's
+    // hot entries are among them, the supervised outcome must not change.
     let torn = sup.process_mut().tables().bump_version();
     assert!(!torn.completed, "the planned tear aborts the re-stamp");
     let r = sup.run("__start").expect("runs");
