@@ -1,9 +1,21 @@
 //! One module has one byte string: `Module::to_bytes` depends on the
-//! module alone, so a module compiled twice serializes the same, and the
+//! module alone, so a module compiled twice serializes the same, the
 //! image it writes for any shipped module decodes and re-encodes to the
-//! same bytes.
+//! same bytes, and those bytes match the digest pinned for the module in
+//! `module_bytes.txt`.
+//!
+//! The reference has one line per module, in `shipped_modules` order:
+//! `<position> <name> <digest>`, the digest being FNV-1a 64 of
+//! `to_bytes` in hex. FNV-1a is fixed by its definition, so the reference
+//! holds across Rust releases and hosts. On a mismatch the test names the
+//! first module whose digest moved and writes every digest it computed
+//! to cargo's temporary directory for integration tests
+//! (`target/tmp/module_bytes.txt`). A change that means to move a
+//! module's bytes re-baselines by copying that file over
+//! `tests/module_bytes.txt`, and says why.
 
 use mcfi::{compile_module, Arch, BuildOptions, DecodeLimits, Module};
+use mcfi_chaos::fnv64;
 use mcfi_netsim::guest::{server_source, HANDLERS_V1_SRC, HANDLERS_V2_SRC};
 use mcfi_workloads::{source, Variant, BENCHMARKS};
 
@@ -44,6 +56,42 @@ fn shipped_modules() -> Vec<Module> {
         plt_stub("nh2_syn", 0x40_0010),
     ]);
     modules
+}
+
+const REFERENCE: &str = include_str!("module_bytes.txt");
+
+#[test]
+fn every_shipped_module_serializes_to_its_pinned_digest() {
+    let rendered: String = shipped_modules()
+        .iter()
+        .enumerate()
+        .map(|(i, m)| {
+            let bytes = m.to_bytes().unwrap_or_else(|e| panic!("{}: {e}", m.name));
+            format!("{i:02} {} {:016x}\n", m.name, fnv64(&bytes))
+        })
+        .collect();
+    if rendered == REFERENCE {
+        return;
+    }
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("module_bytes.txt");
+    std::fs::write(&path, &rendered).expect("writes the rendered digests");
+    let (expected, actual): (Vec<&str>, Vec<&str>) =
+        (REFERENCE.lines().collect(), rendered.lines().collect());
+    let first = (0..expected.len().max(actual.len()))
+        .find(|&i| expected.get(i) != actual.get(i))
+        .expect("the two differ somewhere");
+    let line = actual.get(first).or(expected.get(first)).copied().unwrap_or_default();
+    let name = line.split(' ').nth(1).unwrap_or(line);
+    panic!(
+        "the bytes of shipped module {} (position {first}) moved\n  reference: {:?}\n  \
+         rendered:  {:?}\n({} reference lines, {} rendered; all rendered digests are in {})",
+        name,
+        expected.get(first),
+        actual.get(first),
+        expected.len(),
+        actual.len(),
+        path.display()
+    );
 }
 
 #[test]
